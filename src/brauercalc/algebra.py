@@ -87,10 +87,7 @@ class MultTable:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "basis": [
-                sorted([i, j] for i, j in enumerate(d.match) if j > i)
-                for d in self.basis
-            ],
+            "basis": [d.pairs() for d in self.basis],
             "products": [[nf.to_json() for nf in row] for row in self.products],
         }
 

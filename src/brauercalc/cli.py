@@ -17,7 +17,7 @@ import json
 import sys
 
 from .algebra import AlgebraError, UnknownPreset, check_presentation, mult_table
-from .coeff import lp_int, lp_parse, lp_str
+from .coeff import ParseError, lp_int, lp_parse, lp_str
 from .functors import RescaleSpec, hflip, rescale, vflip
 from .params import (
     FAMILIES,
@@ -272,10 +272,7 @@ def cmd_table(args):
     p = load_params(args)
     table = mult_table(args.n, p, bound=args.bound)
     if args.format == "csv":
-        labels = [
-            "B[%s]" % diagram_label(sorted([i, j] for i, j in enumerate(d.match) if j > i))
-            for d in table.basis
-        ]
+        labels = ["B[%s]" % diagram_label(d.pairs()) for d in table.basis]
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["*"] + labels)
@@ -435,8 +432,6 @@ def build_parser():
         prog="brauercalc",
         description="Exact calculator for cup/cap/crossing diagram categories.",
     )
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized verification modes")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("normalize", help="normal form of an expression")
@@ -499,7 +494,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ExprParseError, AlgebraError, FileNotFoundError) as ex:
+    except (ExprParseError, ParseError, AlgebraError, FileNotFoundError) as ex:
         print("parse error: %s" % ex, file=sys.stderr)
         return EXIT_PARSE
     except (WidthError, WidthMismatch) as ex:

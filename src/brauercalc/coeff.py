@@ -10,7 +10,7 @@ as a map from monomials to Gaussian rationals; a monomial is a sorted tuple of
 >>> p = lp_parse("q - q^-1")
 >>> print(lp_str(p * lp_parse("q + q^-1")))
 q^2 - q^-2
->>> lp_parse("i") * lp_parse("i") == lp_from_int(-1)
+>>> lp_parse("i") * lp_parse("i") == lp_int(-1)
 True
 """
 
@@ -392,12 +392,17 @@ def lp_exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Text form
+# Text form: the one Laurent-polynomial grammar of the package.  `lp_parse`
+# reads an `expr`; the morphism DSL (`term.parse_expr`) runs the same parser
+# on its own token stream and reads a `term` as a coefficient.
 #
-#   expr   := ['-'] term (('+' | '-') term)*
-#   term   := factor ('*' factor)*
-#   factor := atom ['^' signed-int]
+#   expr   := term (('+' | '-') term)*
+#   term   := factor ('*' factor)*     -- stops before a '*' not followed
+#                                         by a factor
+#   factor := '-' factor | atom ['^' ['-'] int]
 #   atom   := rational | 'i' | name | '(' expr ')'
+#
+# Unary minus binds looser than '^': -q^2 is -(q^2).
 
 
 _TOKEN_RE = re.compile(
@@ -426,6 +431,9 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
+    """Recursive descent over `(kind, value)` tokens, kind "num", "name" or
+    "op"; tokens of any other kind end a polynomial."""
+
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
@@ -444,13 +452,7 @@ class _Parser:
             raise ParseError("expected %r" % op)
 
     def parse_expr(self) -> LaurentPoly:
-        neg = False
-        if self.peek() == ("op", "-"):
-            self.take()
-            neg = True
         out = self.parse_term()
-        if neg:
-            out = -out
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             _, op = self.take()
             t = self.parse_term()
@@ -460,11 +462,20 @@ class _Parser:
     def parse_term(self) -> LaurentPoly:
         out = self.parse_factor()
         while self.peek() == ("op", "*"):
+            save = self.pos
             self.take()
-            out = out * self.parse_factor()
+            try:
+                rhs = self.parse_factor()
+            except ParseError:
+                self.pos = save
+                break
+            out = out * rhs
         return out
 
     def parse_factor(self) -> LaurentPoly:
+        if self.peek() == ("op", "-"):
+            self.take()
+            return -self.parse_factor()
         base = self.parse_atom()
         if self.peek() == ("op", "^"):
             self.take()
@@ -546,5 +557,3 @@ def lp_var(name: str) -> LaurentPoly:
 def lp_int(n: int) -> LaurentPoly:
     return LaurentPoly.from_int(n)
 
-
-lp_from_int = lp_int

@@ -73,6 +73,11 @@ class BrauerDiagram:
                 out.append((d + 1, e - self.m + 1))
         return out
 
+    def pairs(self):
+        """All pairs as 0-based dot lists [i, j] with i < j, sorted; the
+        form used in JSON output."""
+        return [[i, j] for i, j in enumerate(self.match) if j > i]
+
     def __str__(self):
         return "BrauerDiagram(%d->%d; cups=%s caps=%s through=%s)" % (
             self.m,
@@ -323,27 +328,30 @@ def elem_cap(w: int, r: int) -> BrauerDiagram:
 # Standard factorization
 
 
+def _peel(pairs):
+    """Peel pairs of one boundary into elementary blocks, in peel order.
+
+    Peeling repeatedly removes the pair with the largest left column and
+    closes the gap it leaves.  Closing a gap never moves a column to its
+    left, so pair (i, j) is peeled at column i, and its spread is the
+    number of columns strictly between i and j that are still present then:
+    those not belonging to a pair with a larger left column.  Returns
+    (spread, column) per pair, largest left column first.
+    """
+    out = []
+    peeled = []  # columns of the pairs already peeled, all right of i
+    for i, j in sorted(pairs, reverse=True):
+        out.append((j - i - 1 - sum(1 for c in peeled if c < j), i))
+        peeled += (i, j)
+    return out
+
+
 def cup_blocks(d: BrauerDiagram):
     """Peel the top pairs into elementary cup blocks, topmost block first.
 
     Returns a list of (s, a) with the topmost block's left column largest.
     """
-    pairs = list(d.cup_pairs())
-    out = []
-    while pairs:
-        i, j = max(pairs, key=lambda p: p[0])
-        out.append((j - i - 1, i))
-        pairs.remove((i, j))
-
-        def relabel(c):
-            if c < i:
-                return c
-            if c < j:
-                return c - 1
-            return c - 2
-
-        pairs = [(relabel(x), relabel(y)) for x, y in pairs]
-    return out
+    return _peel(d.cup_pairs())
 
 
 def cap_blocks(d: BrauerDiagram):
@@ -352,22 +360,7 @@ def cap_blocks(d: BrauerDiagram):
     The bottom-most cap block has the largest left column; the returned list
     is ordered top to bottom (left columns increasing).
     """
-    pairs = list(d.cap_pairs())
-    peeled = []
-    while pairs:
-        i, j = max(pairs, key=lambda p: p[0])
-        peeled.append((j - i - 1, i))
-        pairs.remove((i, j))
-
-        def relabel(c):
-            if c < i:
-                return c
-            if c < j:
-                return c - 1
-            return c - 2
-
-        pairs = [(relabel(x), relabel(y)) for x, y in pairs]
-    return list(reversed(peeled))
+    return _peel(d.cap_pairs())[::-1]
 
 
 def through_perm(d: BrauerDiagram):
@@ -510,24 +503,13 @@ def diagram_from_letters(m, letters) -> BrauerDiagram:
 
 
 def remove_top_pair(d: BrauerDiagram, i: int, j: int) -> BrauerDiagram:
-    """Delete the top pair at columns (i, j) and relabel; the inverse of
-    stacking an elementary cup block."""
-    assert d.match[d.m + i - 1] == d.m + j - 1
-
-    def relabel(c):
-        if c < i:
-            return c
-        if c < j:
-            return c - 1
-        return c - 2
-
-    pairs = []
-    for a, b in enumerate(d.match):
-        if b <= a:
-            continue
-        if a == d.m + i - 1:
-            continue
-        na = a if a < d.m else d.m + relabel(a - d.m + 1) - 1
-        nb = b if b < d.m else d.m + relabel(b - d.m + 1) - 1
-        pairs.append((na, nb))
+    """Delete the top pair at columns (i, j) and close the gaps; the inverse
+    of stacking an elementary cup block."""
+    lo, hi = d.m + i - 1, d.m + j - 1
+    assert d.match[lo] == hi
+    pairs = [
+        (a - (a > lo) - (a > hi), b - (b > lo) - (b > hi))
+        for a, b in enumerate(d.match)
+        if a < b and a != lo
+    ]
     return from_pairs(d.m, d.n - 2, pairs)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .coeff import LaurentPoly, lp_exact_div
 from .diagram import standard_letters
 from .params import CategoryParams, vflip_params
-from .rewrite import NormalForm, RewriteError, _fingerprint, normalize
+from .rewrite import NormalForm, RewriteError, _add_term, _fingerprint, normalize
 from .term import CAP, CROSS, CUP, GenWord, Letter
 
 
@@ -128,12 +128,7 @@ def _renormalized_image(nf: NormalForm, target: CategoryParams, mapper, m, n):
         domain, letters = mapper(d)
         img = normalize(GenWord(domain, tuple(Letter(k, r) for k, r in letters)), target)
         for d2, c2 in img.terms.items():
-            cur = terms.get(d2)
-            new = c * c2 if cur is None else cur + c * c2
-            if new.is_zero():
-                terms.pop(d2, None)
-            else:
-                terms[d2] = new
+            _add_term(terms, d2, c * c2)
     return NormalForm(m, n, terms, _fingerprint(target))
 
 

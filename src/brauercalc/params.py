@@ -122,15 +122,7 @@ class CategoryParams:
             raise ParamError("e and e_prime must be fourth roots of unity")
 
     def fingerprint(self) -> str:
-        payload = json.dumps(
-            {
-                "epsilon": self.epsilon,
-                "e": str(self.e),
-                "e_prime": str(self.e_prime),
-                **{name: lp_str(getattr(self, name)) for name in LAURENT_FIELDS},
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(self.to_json(), sort_keys=True)
         return hashlib.sha1(payload.encode()).hexdigest()
 
     def to_json(self) -> dict:
@@ -161,10 +153,6 @@ def params_from_json(data: dict) -> CategoryParams:
     )
 
 
-def _sc(p: LaurentPoly, u: GaussRational) -> LaurentPoly:
-    return p.scale(u)
-
-
 def make_params(epsilon, e, e_prime, lam, lam_p, sig, delta, rho, a, b, c, f, f_p):
     """Assemble a full record, computing the dependent parameters.
 
@@ -181,22 +169,22 @@ def make_params(epsilon, e, e_prime, lam, lam_p, sig, delta, rho, a, b, c, f, f_
         lam=lam,
         lam_p=lam_p,
         sig=sig,
-        sig_p=_sc(sig, eps),
+        sig_p=sig.scale(eps),
         delta=delta,
         rho=rho,
         a=a,
         b=b,
         c=c,
-        d=_sc(f_p, -e),
-        d_p=_sc(f, -e_prime),
+        d=f_p.scale(-e),
+        d_p=f.scale(-e_prime),
         f=f,
         f_p=f_p,
         D=lp_exact_div(a * E, lam),
         D_p=lp_exact_div(a * E_p, lam_p),
         E=E,
         E_p=E_p,
-        F=_sc(a, e ** -1),
-        F_p=_sc(a, e_prime ** -1),
+        F=a.scale(e ** -1),
+        F_p=a.scale(e_prime ** -1),
     )
 
 
@@ -252,7 +240,7 @@ def family_instantiate(
     bindings = dict(bindings or {})
     eps = gr(epsilon)
 
-    def bound(name, default_symbolic=True):
+    def bound(name):
         if name in bindings:
             return bindings[name]
         return lp_var(name)
@@ -330,15 +318,15 @@ def family_instantiate(
         c = zero
         if family in ("Cb0_l_s", "C0b_l_s"):
             sgn = gr(-epsilon) * e if group == "Cb0" else eps * e
-            delta = lp_exact_div(_sc(sig * (lam + lam - b), sgn), b)
+            delta = lp_exact_div((sig * (lam + lam - b)).scale(sgn), b)
             rho_sign = gr(-epsilon) * e if group == "Cb0" else eps * e
-            rho = _sc(sig * (lam - b), rho_sign)
+            rho = (sig * (lam - b)).scale(rho_sign)
         elif family in ("Cb0_bl_s", "C0b_bl_s"):
             delta = zero
             if group == "Cb0":
-                rho = _sc(sig * lam, eps * e)
+                rho = (sig * lam).scale(eps * e)
             else:
-                rho = _sc(sig * (lam - b), eps * e)
+                rho = (sig * (lam - b)).scale(eps * e)
         else:  # sig = 0 rows
             delta = zero
             rho = zero
@@ -347,9 +335,9 @@ def family_instantiate(
         sig_inv = sig.unit_inverse() if sig.is_unit_monomial() else None
         if sig_inv is None:
             raise ParamError("family Cbb_l_s needs an invertible sig")
-        c = _sc(lam * b * sig_inv, -e)
+        c = (lam * b * sig_inv).scale(-e)
         delta = bound("delta")
-        rho = _sc(sig * (lam - b), eps * e) + b * delta
+        rho = (sig * (lam - b)).scale(eps * e) + b * delta
         a = lam * lam - b * lam - c * delta
     else:  # C00
         if family == "C00_l_0":
@@ -359,11 +347,11 @@ def family_instantiate(
         elif family == "C00_l_s":
             c = zero
             delta = bound("delta")
-            rho = _sc(sig * lam, eps * e)
+            rho = (sig * lam).scale(eps * e)
         elif family == "C00_ml_s":
             c = zero
             delta = zero
-            rho = _sc(sig * lam, eps * e)
+            rho = (sig * lam).scale(eps * e)
         else:  # C00_ml_0
             c = zero
             delta = zero
@@ -461,9 +449,6 @@ def check_consistency(p: CategoryParams) -> list:
     f, fp = p.f, p.f_p
     D, Dp, E, Ep, F, Fp = p.D, p.D_p, p.E, p.E_p, p.F, p.F_p
 
-    def s(poly, unit):
-        return poly.scale(unit)
-
     fails = []
 
     def eq(label, lhs, rhs):
@@ -488,102 +473,104 @@ def check_consistency(p: CategoryParams) -> list:
     bf, bfp = b - f, b - fp
 
     # FFb system (cleared by lam / lam_p and the units where needed)
-    eq("FFb.1", s(a * bf, e), L * c * S - s(L * (b - L - f) * fp, e))
-    eq("FFb.2", s(a * bfp, ep), Lp * c * Sp - s(Lp * (b - Lp - fp) * f, ep))
+    eq("FFb.1", (a * bf).scale(e), L * c * S - (L * (b - L - f) * fp).scale(e))
+    eq("FFb.2", (a * bfp).scale(ep), Lp * c * Sp - (Lp * (b - Lp - fp) * f).scale(ep))
     eq(
         "FFb.3",
-        s(a * bf - f * L * L, eps * e * e),
-        L * (fp * fp - f * fp - fp * L + f * L) + s(L * c * Sp, e),
+        (a * bf - f * L * L).scale(eps * e * e),
+        L * (fp * fp - f * fp - fp * L + f * L) + (L * c * Sp).scale(e),
     )
     eq(
         "FFb.4",
-        s(a * bfp - fp * Lp * Lp, eps * ep * ep),
-        Lp * (f * f - f * fp - f * Lp + fp * Lp) + s(Lp * c * S, ep),
+        (a * bfp - fp * Lp * Lp).scale(eps * ep * ep),
+        Lp * (f * f - f * fp - f * Lp + fp * Lp) + (Lp * c * S).scale(ep),
     )
-    eq("FFb.5", s(b - f - f, eps * e * e), b - fp - fp)
-    eq("FFb.6", s(b - fp - fp, eps * ep * ep), b - f - f)
-    eq("FFb.7", L * fp * (s(c * Sp, e) + f * L), a * bf * bfp)
-    eq("FFb.8", Lp * f * (s(c * S, ep) + fp * Lp), a * bf * bfp)
-    eq("FFb.9", L * (b - f - fp) - s(c * Sp, e), bf * bfp)
-    eq("FFb.10", Lp * (b - fp - f) - s(c * S, ep), bf * bfp)
-    eq("FFb.11", L * (s(c * Sp, e) + f * L - f * f) - s(c * Sp * f, e), a * bfp)
-    eq("FFb.12", Lp * (s(c * S, ep) + fp * Lp - fp * fp) - s(c * S * fp, ep), a * bf)
+    eq("FFb.5", (b - f - f).scale(eps * e * e), b - fp - fp)
+    eq("FFb.6", (b - fp - fp).scale(eps * ep * ep), b - f - f)
+    eq("FFb.7", L * fp * ((c * Sp).scale(e) + f * L), a * bf * bfp)
+    eq("FFb.8", Lp * f * ((c * S).scale(ep) + fp * Lp), a * bf * bfp)
+    eq("FFb.9", L * (b - f - fp) - (c * Sp).scale(e), bf * bfp)
+    eq("FFb.10", Lp * (b - fp - f) - (c * S).scale(ep), bf * bfp)
+    eq("FFb.11", L * ((c * Sp).scale(e) + f * L - f * f) - (c * Sp * f).scale(e), a * bfp)
+    eq("FFb.12", Lp * ((c * S).scale(ep) + fp * Lp - fp * fp) - (c * S * fp).scale(ep), a * bf)
 
     # Remaining curl / loop equations
     eq("Rest.1", c * rho, a * (b - f - fp))
-    r2a = L * (s(S * c, ep) + f * fp) + c * dl * fp
-    r2b = Lp * (s(Sp * c, e) + f * fp) + c * dl * f
+    r2a = L * ((S * c).scale(ep) + f * fp) + c * dl * fp
+    r2b = Lp * ((Sp * c).scale(e) + f * fp) + c * dl * f
     r2c = a * (b - f - fp)
     if not (r2a == r2b == r2c):
         fails.append("Rest.2")
-    r3a = Sp * (d + s(L, e)) + f * dl
-    r3b = S * (dp + s(Lp, ep)) + fp * dl
+    r3a = Sp * (d + L.scale(e)) + f * dl
+    r3b = S * (dp + Lp.scale(ep)) + fp * dl
     if not (rho == r3a == r3b):
         fails.append("Rest.3")
-    eq("Rest.4", S * (Lp - L) * (lp_int(1) + s(lp_int(1), eps * e * e)), LaurentPoly.zero())
-    eq("Rest.5", Lp * (L - b + fp) * rho, a * bfp * dl + s(Lp * a * Sp, e))
-    eq("Rest.6", L * (Lp - b + f) * rho, a * bf * dl + s(L * a * S, ep))
+    eq("Rest.4", S * (Lp - L) * (lp_int(1) + lp_int(1).scale(eps * e * e)), LaurentPoly.zero())
+    eq("Rest.5", Lp * (L - b + fp) * rho, a * bfp * dl + (Lp * a * Sp).scale(e))
+    eq("Rest.6", L * (Lp - b + f) * rho, a * bf * dl + (L * a * S).scale(ep))
     eq(
         "Rest.7",
-        bf * (rho * L + a * dl) + s(S * a * L, ep),
-        bfp * (rho * Lp + a * dl) + s(Sp * a * Lp, e),
+        bf * (rho * L + a * dl) + (S * a * L).scale(ep),
+        bfp * (rho * Lp + a * dl) + (Sp * a * Lp).scale(e),
     )
     eq(
         "Rest.8",
-        s(Lp * a * dl, e - ep ** -1),
-        bfp * (s(S * a, GR_ONE) - s(Lp * rho, e))
+        (Lp * a * dl).scale(e - ep ** -1),
+        bfp * (S * a - (Lp * rho).scale(e))
         + Lp * (b - fp - f) * L * S
-        - s(Lp * c * S * Sp, e),
+        - (Lp * c * S * Sp).scale(e),
     )
     eq(
         "Rest.9",
-        s(L * a * dl, ep - e ** -1),
-        bf * (s(Sp * a, GR_ONE) - s(L * rho, ep))
+        (L * a * dl).scale(ep - e ** -1),
+        bf * (Sp * a - (L * rho).scale(ep))
         + L * (b - f - fp) * Lp * Sp
-        - s(L * c * S * Sp, ep),
+        - (L * c * S * Sp).scale(ep),
     )
 
     # Pulling coefficient equations
     eq(
         "DEF.1",
-        a * (b * E + s(c * Sp, e)),
+        a * (b * E + (c * Sp).scale(e)),
         D * D + E * a * L + E * b * D + E * c * Sp * d + F * L * d,
     )
     eq(
         "DEF.2",
-        a * L + b * D + b * b * E + c * Sp * d + s(c * Sp * b, e),
-        D * E + b * E * E + s(E * c * Sp, e) + s(F * L, e),
+        a * L + b * D + b * b * E + c * Sp * d + (c * Sp * b).scale(e),
+        D * E + b * E * E + (E * c * Sp).scale(e) + (F * L).scale(e),
     )
     eq(
         "DEF.3",
-        b * E * c * Sp + b * F * L + s(c * c * Sp * Sp, e) + c * Sp * L * f,
+        b * E * c * Sp + b * F * L + (c * c * Sp * Sp).scale(e) + c * Sp * L * f,
         D * F + E * b * F + E * c * Sp * f + F * L * f,
     )
     eq(
         "DEF.4",
-        a * (b * Ep + s(c * S, ep)),
+        a * (b * Ep + (c * S).scale(ep)),
         Dp * Dp + Ep * a * Lp + Ep * b * Dp + Ep * c * S * dp + Fp * Lp * dp,
     )
     eq(
         "DEF.5",
-        a * Lp + b * Dp + b * b * Ep + c * S * dp + s(c * S * b, ep),
-        Dp * Ep + b * Ep * Ep + s(Ep * c * S, ep) + s(Fp * Lp, ep),
+        a * Lp + b * Dp + b * b * Ep + c * S * dp + (c * S * b).scale(ep),
+        Dp * Ep + b * Ep * Ep + (Ep * c * S).scale(ep) + (Fp * Lp).scale(ep),
     )
     eq(
         "DEF.6",
-        b * Ep * c * S + b * Fp * Lp + s(c * c * S * S, ep) + c * S * Lp * fp,
+        b * Ep * c * S + b * Fp * Lp + (c * c * S * S).scale(ep) + c * S * Lp * fp,
         Dp * Fp + Ep * b * Fp + Ep * c * S * fp + Fp * Lp * fp,
     )
 
     if not c.is_zero():
         eq("CNZ.1", f, fp)
-        if not (s(f, eps * e * e) == f and s(f, eps * ep * ep) == f):
+        if not (f.scale(eps * e * e) == f and f.scale(eps * ep * ep) == f):
             fails.append("CNZ.2")
         if not (E.is_zero() and Ep.is_zero()):
             fails.append("CNZ.3")
         if e * ep != GR_ONE:
             fails.append("CNZ.4")
-        if not (s(c * Sp, e) + f * L).is_zero() or not (s(c * S, ep) + fp * Lp).is_zero():
+        cnz5a = (c * Sp).scale(e) + f * L
+        cnz5b = (c * S).scale(ep) + fp * Lp
+        if not (cnz5a.is_zero() and cnz5b.is_zero()):
             fails.append("CNZ.5")
         eq("CNZ.6", L, Lp)
 

@@ -30,7 +30,6 @@ from .diagram import (
     cap_blocks,
     compose_oracle,
     count_inversions,
-    cup_blocks,
     diagram_from_parts,
     elem_cap_block,
     elem_cup_block,
@@ -107,22 +106,12 @@ class NormalForm:
         return self + other.scale(lp_int(-1))
 
     def to_json(self) -> dict:
-        items = sorted(self.terms.items(), key=lambda kv: _diagram_key(kv[0]))
+        items = sorted((d.pairs(), lp_str(c)) for d, c in self.terms.items())
         return {
             "m": self.m,
             "n": self.n,
-            "terms": [
-                {"pairs": _diagram_pairs(d), "coeff": lp_str(c)} for d, c in items
-            ],
+            "terms": [{"pairs": pairs, "coeff": coeff} for pairs, coeff in items],
         }
-
-
-def _diagram_pairs(d: BrauerDiagram):
-    return sorted([i, j] for i, j in enumerate(d.match) if j > i)
-
-
-def _diagram_key(d: BrauerDiagram):
-    return tuple(tuple(p) for p in _diagram_pairs(d))
 
 
 def nf_from_json(data: dict, p: CategoryParams) -> NormalForm:
@@ -225,7 +214,8 @@ class _Engine:
         block = elem_cup_block(d.n, 0, a)
         loops, d2 = compose_oracle(block, d)
         assert loops == 0
-        idx = _peel_index(d2.cup_pairs(), (a, a + 1))
+        # the cup is peeled after every pair with a larger left column
+        idx = sum(1 for i, _ in d2.cup_pairs() if i > a)
         return self.sign(idx), d2
 
     def _stack_block(self, d: BrauerDiagram, s: int, a: int) -> dict:
@@ -306,7 +296,7 @@ class _Engine:
 
     def _push_cross(self, r: int, d: BrauerDiagram) -> dict:
         p = self.p
-        cups = cup_blocks(d)
+        cups = d.cup_pairs()
         if not cups:
             x = through_perm(d)
             y = tuple(r if v == r - 1 else (r - 1 if v == r else v) for v in x)
@@ -321,8 +311,8 @@ class _Engine:
                 _add_term(out, d2, c * p.c)
             return _prune(out)
 
-        s1, a1 = cups[0]
-        left, right = a1, a1 + s1 + 1
+        left, right = max(cups)  # the topmost cup block
+        s1, a1 = right - left - 1, left
         rest = remove_top_pair(d, left, right)
         rest_nf = {rest: lp_int(1)}
 
@@ -373,12 +363,12 @@ class _Engine:
 
     def _push_cap(self, r: int, d: BrauerDiagram) -> dict:
         p = self.p
-        cups = cup_blocks(d)
+        cups = d.cup_pairs()
         if not cups:
             return self._push_capj(r, 0, d)
 
-        s1, a1 = cups[0]
-        left, right = a1, a1 + s1 + 1
+        left, right = max(cups)  # the topmost cup block
+        s1, a1 = right - left - 1, left
         rest = remove_top_pair(d, left, right)
         rest_nf = {rest: lp_int(1)}
 
@@ -493,34 +483,6 @@ class _Engine:
             return _prune(out)
         # x < j < x + t: the crossing swaps two middle strands under the arc
         return self.push_nf(CROSS, j - 1, self._push_capj(x, t, dt))
-
-
-def _peel_index(cup_pairs, target):
-    """Index at which `target` is peeled from a top-pair list (0 = first)."""
-    pairs = list(cup_pairs)
-    idx = 0
-    while pairs:
-        i, j = max(pairs, key=lambda q: q[0])
-        if (i, j) == target:
-            return idx
-        pairs.remove((i, j))
-
-        def relabel(c, i=i, j=j):
-            if c < i:
-                return c
-            if c < j:
-                return c - 1
-            return c - 2
-
-        new = []
-        for a, b in pairs:
-            na, nb = relabel(a), relabel(b)
-            if (a, b) == target:
-                target = (na, nb)
-            new.append((na, nb))
-        pairs = new
-        idx += 1
-    raise RewriteError("pair %r not found while peeling" % (target,))
 
 
 def _scaled(terms: dict, coeff: LaurentPoly) -> dict:

@@ -15,10 +15,11 @@ The expression DSL:
 
     expr := sum
     sum  := prod (('+' | '-') prod)*
-    prod := [coeff '*'] comp          -- coeff: Laurent polynomial factor(s)
+    prod := [coeff '*'] comp          -- coeff: a `term` of the Laurent-
+                                      -- polynomial grammar in `coeff`
     comp := tens ('.' tens)*          -- left operand goes on top
-    tens := atom ('#' atom)*          -- left operand goes to the left
-    atom := 's(INT)@INT' | 'a(INT)@INT' | 'u(INT)@INT' | 'id@INT' | '(' expr ')'
+    tens := gen ('#' gen)*            -- left operand goes to the left
+    gen  := 's(INT)@INT' | 'a(INT)@INT' | 'u(INT)@INT' | 'id@INT' | '(' expr ')'
 
 where `s` is a crossing, `a` a cap, `u` a cup, each annotated with its
 domain width after `@`.
@@ -30,7 +31,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import GR_I, GaussRational, LaurentPoly, lp_int, lp_str, lp_var
+from .coeff import LaurentPoly, ParseError, lp_int, lp_str
+from .coeff import _Parser as _PolyParser
 
 
 class TermError(Exception):
@@ -226,15 +228,12 @@ def flatten(expr) -> list:
                         new.append((c0 * c1, w1))
                     else:
                         shifted = w1.shift(w0.domain)
-                        lifted = tuple(
-                            Letter(l.kind, l.pos) for l in w0.letters
-                        )
                         new.append(
                             (
                                 c0 * c1,
                                 GenWord(
                                     w0.domain + w1.domain,
-                                    shifted.letters + lifted,
+                                    shifted.letters + w0.letters,
                                 ),
                             )
                         )
@@ -295,20 +294,9 @@ def _gen_expr(g, i, w):
     return WordExpr(word(w, [cup(i)]))
 
 
-class _ExprParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    # -- morphism grammar ---------------------------------------------------
+class _ExprParser(_PolyParser):
+    """The morphism grammar.  Coefficients are read by the inherited
+    Laurent-polynomial grammar of `coeff` on the same token stream."""
 
     def parse_sum(self):
         parts = [self.parse_prod()]
@@ -327,15 +315,13 @@ class _ExprParser:
     def parse_prod(self):
         save = self.pos
         try:
-            coeff = self.parse_poly_term()
-            k, v = self.take()
-            if (k, v) != ("op", "*"):
-                raise ExprParseError("expected '*' after coefficient")
-            comp = self.parse_comp()
-            return Scale(coeff, comp)
-        except ExprParseError:
-            self.pos = save
-            return self.parse_comp()
+            coeff = self.parse_term()
+            if self.take() == ("op", "*"):
+                return Scale(coeff, self.parse_comp())
+        except ParseError:
+            pass  # not a coefficient
+        self.pos = save
+        return self.parse_comp()
 
     def parse_comp(self):
         parts = [self.parse_tens()]
@@ -347,15 +333,15 @@ class _ExprParser:
         return Compose(tuple(parts))
 
     def parse_tens(self):
-        parts = [self.parse_atom()]
+        parts = [self.parse_gen()]
         while self.peek() == ("op", "#"):
             self.take()
-            parts.append(self.parse_atom())
+            parts.append(self.parse_gen())
         if len(parts) == 1:
             return parts[0]
         return Tensor(tuple(parts))
 
-    def parse_atom(self):
+    def parse_gen(self):
         k, v = self.peek()
         if k == "gen":
             self.take()
@@ -367,69 +353,6 @@ class _ExprParser:
                 raise ExprParseError("expected ')'")
             return out
         raise ExprParseError("expected a generator or '('")
-
-    # -- coefficient (Laurent polynomial) grammar ----------------------------
-
-    def parse_poly_term(self):
-        out = self.parse_poly_factor()
-        while self.peek() == ("op", "*"):
-            save = self.pos
-            self.take()
-            try:
-                out = out * self.parse_poly_factor()
-            except ExprParseError:
-                self.pos = save
-                break
-        return out
-
-    def parse_poly_factor(self):
-        base = self.parse_poly_atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.take()
-                sign = -1
-            k, v = self.take()
-            if k != "num" or v.denominator != 1:
-                raise ExprParseError("exponent must be an integer")
-            return base ** (sign * int(v))
-        return base
-
-    def parse_poly_atom(self):
-        k, v = self.peek()
-        if k == "num":
-            self.take()
-            return LaurentPoly.const(GaussRational(v, Fraction(0)))
-        if k == "name":
-            self.take()
-            if v == "i":
-                return LaurentPoly.const(GR_I)
-            return lp_var(v)
-        if (k, v) == ("op", "("):
-            save = self.pos
-            self.take()
-            try:
-                out = self.parse_poly_sum()
-            except ExprParseError:
-                self.pos = save
-                raise
-            if self.take() != ("op", ")"):
-                self.pos = save
-                raise ExprParseError("expected ')' in coefficient")
-            return out
-        if (k, v) == ("op", "-"):
-            self.take()
-            return -self.parse_poly_atom()
-        raise ExprParseError("expected a coefficient")
-
-    def parse_poly_sum(self):
-        out = self.parse_poly_term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            _, op = self.take()
-            t = self.parse_poly_term()
-            out = out + t if op == "+" else out - t
-        return out
 
 
 def parse_expr(text: str):

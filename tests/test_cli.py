@@ -38,6 +38,20 @@ def test_parse_error_exit_code(capsys):
     assert run(capsys, "normalize", "-p", "nosuch", "id@2")[0] == 2
 
 
+def test_coefficient_parse_error_exit_code(capsys, tmp_path):
+    code = main(["map", "-p", "bwm", "--functor", "rescale", "--alpha", "x^", "s(1)@2"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+
+    data = preset("bwm").to_json()
+    data["lam"] = "v^"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["normalize", "--params", str(path), "s(1)@2"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
 def test_inconsistent_params_exit_code(capsys, tmp_path):
     data = preset("bwm").to_json()
     data["rho"] = "v"  # breaks the delooping consistency equations

@@ -64,6 +64,18 @@ def test_parse_rejects_garbage():
         lp_parse("q ? v")
     with pytest.raises(ParseError):
         lp_parse("q^v")
+    with pytest.raises(ParseError):
+        lp_parse("q *")
+
+
+def test_unary_minus_is_a_factor_prefix():
+    # '-' may prefix any factor and binds looser than '^'
+    assert lp_parse("-q^2") == -lp_parse("q^2")
+    assert lp_parse("-2^2") == lp_int(-4)
+    assert lp_parse("2*-q") == lp_parse("-2*q")
+    assert lp_parse("--q") == lp_parse("q")
+    assert lp_parse("q - -q") == lp_parse("2*q")
+    assert lp_parse("(-q)^2") == lp_parse("q^2")
 
 
 def test_substitute_is_exact():

@@ -158,7 +158,10 @@ def test_canonical_word_properties(r):
         assert ends == sorted(ends) and len(set(ends)) == len(ends)
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (1, 3), (0, 4), (4, 2), (2, 4)])
+@pytest.mark.parametrize(
+    "m,n",
+    [(2, 2), (3, 3), (1, 3), (0, 4), (4, 2), (2, 4), (0, 8), (1, 7), (2, 6), (3, 5)],
+)
 def test_standard_word_round_trip(m, n):
     for d in enumerate_diagrams(m, n):
         letters = standard_letters(d)

@@ -1,6 +1,6 @@
 import pytest
 
-from brauercalc.coeff import lp_int, lp_parse
+from brauercalc.coeff import lp_int, lp_parse, lp_var
 from brauercalc.term import (
     Compose,
     ExprParseError,
@@ -88,6 +88,26 @@ def test_coefficients_and_sums():
     assert coeffs[1] == lp_parse("q - q^-1")
     assert coeffs[2] == lp_parse("-1")
 
+    q = lp_var("q")
+    for text, expected in [
+        ("2 * -q * id@2", [lp_parse("-2*q")]),
+        ("--q * id@2", [q]),
+        ("id@2 - -q*id@2", [lp_int(1), q]),
+        ("q*v*s(1)@2", [lp_parse("q*v")]),
+        ("q * (s(1)@2 + id@2)", [q, q]),
+        ("(s(1)@2 + id@2) . u(1)@0", [lp_int(1), lp_int(1)]),
+    ]:
+        assert [c for c, _ in flatten(parse_expr(text))] == expected, text
+
+
+def test_coefficient_minus_binds_looser_than_power():
+    # the DSL reads coefficients with lp_parse's grammar: -q^2 is -(q^2)
+    for text in ["-q^2 * s(1)@2", "(-q^2) * id@2"]:
+        [(c, _)] = flatten(parse_expr(text))
+        assert c == lp_parse("-q^2"), text
+    [(c, _)] = flatten(parse_expr("-2^2 * id@2"))
+    assert c == lp_int(-4)
+
 
 def test_nested_parens():
     e = parse_expr("(s(1)@2 + id@2) . u(1)@0")
@@ -100,6 +120,10 @@ def test_nested_parens():
 def test_parse_errors():
     for bad in ["s(1)", "q * q", "u(1)@1 .", "s(0)@2", "(q+1)", "s(1)@2 ## id@1"]:
         with pytest.raises(Exception):
+            parse_expr(bad)
+    # a failed coefficient never leaks the coefficient parser's error
+    for bad in ["-s(1)@2", "q^x * id@2"]:
+        with pytest.raises(ExprParseError):
             parse_expr(bad)
 
 
