@@ -17,8 +17,8 @@ import json
 import sys
 
 from .algebra import AlgebraError, UnknownPreset, check_presentation, mult_table
-from .coeff import ParseError, lp_int, lp_parse, lp_str
-from .functors import RescaleSpec, hflip, rescale, vflip
+from .coeff import CoeffError, lp_int, lp_parse, lp_str
+from .functors import NonUnitScale, RescaleSpec, hflip, rescale, vflip
 from .params import (
     FAMILIES,
     ParamError,
@@ -60,14 +60,15 @@ def load_params(args):
     if getattr(args, "params", None):
         with open(args.params) as fh:
             try:
-                data = json.load(fh)
-            except json.JSONDecodeError as ex:
+                return params_from_json(json.load(fh))
+            except KeyError as ex:
+                raise ExprParseError("params file: missing field %s" % ex)
+            except (TypeError, ValueError) as ex:  # includes bad JSON
                 raise ExprParseError("params file: %s" % ex)
-        return params_from_json(data)
     name = getattr(args, "preset", None) or "brauer"
     try:
         return preset(name)
-    except Exception:
+    except ParamError:
         raise ExprParseError("unknown preset %r" % name)
 
 
@@ -494,7 +495,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ExprParseError, ParseError, AlgebraError, FileNotFoundError) as ex:
+    except (
+        ExprParseError, CoeffError, NonUnitScale, AlgebraError, FileNotFoundError
+    ) as ex:
         print("parse error: %s" % ex, file=sys.stderr)
         return EXIT_PARSE
     except (WidthError, WidthMismatch) as ex:

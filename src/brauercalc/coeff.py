@@ -5,7 +5,8 @@ polynomials over them.
 Coefficients are `Fraction` pairs (real and imaginary part), so every
 computation in the package is exact.  Laurent polynomials are stored sparsely
 as a map from monomials to Gaussian rationals; a monomial is a sorted tuple of
-`(variable id, exponent)` pairs with nonzero exponents.
+`(name, exponent)` pairs with nonzero exponents.  A variable is its name, so
+every text form orders variables by name, whatever the process did before.
 
 >>> p = lp_parse("q - q^-1")
 >>> print(lp_str(p * lp_parse("q + q^-1")))
@@ -123,36 +124,24 @@ GR_I = gr(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# Variable registry
-
-_VAR_NAMES: list[str] = []
-_VAR_IDS: dict[str, int] = {}
+# Variables
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
-def var_id(name: str) -> int:
-    """Intern a variable name, returning its stable id."""
+def var_name(name: str) -> str:
+    """Check a variable name and return it: a variable is its name."""
     if name == "i":
         raise ParseError("'i' is reserved for the imaginary unit")
     if not _NAME_RE.match(name):
         raise ParseError("bad variable name: %r" % name)
-    vid = _VAR_IDS.get(name)
-    if vid is None:
-        vid = len(_VAR_NAMES)
-        _VAR_NAMES.append(name)
-        _VAR_IDS[name] = vid
-    return vid
-
-
-def var_name(vid: int) -> str:
-    return _VAR_NAMES[vid]
+    return name
 
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 
-Mono = tuple  # tuple[(vid, exp), ...] sorted by vid, exps nonzero
+Mono = tuple  # tuple[(name, exp), ...] sorted by name, exps nonzero
 
 _MONO_ONE: Mono = ()
 
@@ -210,7 +199,7 @@ class LaurentPoly:
     def variable(name: str, exp: int = 1) -> "LaurentPoly":
         if exp == 0:
             return _LP_ONE
-        return LaurentPoly({((var_id(name), exp),): GR_ONE})
+        return LaurentPoly({((var_name(name), exp),): GR_ONE})
 
     # -- ring operations ---------------------------------------------------
 
@@ -282,11 +271,7 @@ class LaurentPoly:
     # -- substitution / evaluation -----------------------------------------
 
     def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(var_name(v))
-        return out
+        return {v for m in self.terms for v, _ in m}
 
     def substitute(self, bindings: dict) -> "LaurentPoly":
         """Substitute polynomials for variables (given by name).
@@ -294,7 +279,7 @@ class LaurentPoly:
         Variables carrying negative exponents anywhere in `self` must be
         bound (if bound at all) to single-term invertible polynomials.
         """
-        bind = {var_id(n): p for n, p in bindings.items()}
+        bind = {var_name(n): p for n, p in bindings.items()}
         out = _LP_ZERO
         for m, c in self.terms.items():
             term = LaurentPoly.const(c)
@@ -308,7 +293,7 @@ class LaurentPoly:
                     if not p.is_unit_monomial():
                         raise NonInvertibleSubstitution(
                             "variable %r occurs with a negative exponent but is "
-                            "bound to a non-invertible polynomial" % var_name(v)
+                            "bound to a non-invertible polynomial" % v
                         )
                     term = term * p**e
             out = out + term
@@ -316,17 +301,17 @@ class LaurentPoly:
 
     def eval(self, point: dict) -> GaussRational:
         """Evaluate at Gaussian-rational values (keyed by variable name)."""
-        vals = {var_id(n): v for n, v in point.items()}
+        vals = {var_name(n): v for n, v in point.items()}
         out = GR_ZERO
         for m, c in self.terms.items():
             t = c
             for v, e in m:
                 if v not in vals:
-                    raise MissingBinding("no value for variable %r" % var_name(v))
+                    raise MissingBinding("no value for variable %r" % v)
                 val = vals[v]
                 if val.is_zero() and e < 0:
                     raise DivisionByZero(
-                        "variable %r is zero but has exponent %d" % (var_name(v), e)
+                        "variable %r is zero but has exponent %d" % (v, e)
                     )
                 t = t * val**e
             out = out + t
@@ -363,11 +348,11 @@ def lp_exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     qq = q * cq.unit_inverse()
     tail = cp * cq.unit_inverse()
 
-    vids = sorted({v for m in list(pp.terms) + list(qq.terms) for v, _ in m})
+    names = sorted({v for m in list(pp.terms) + list(qq.terms) for v, _ in m})
 
     def key(m):
         d = dict(m)
-        return tuple(d.get(v, 0) for v in vids)
+        return tuple(d.get(v, 0) for v in names)
 
     def divisible(rm, qm):
         return all(re >= qe for re, qe in zip(key(rm), key(qm)))
@@ -411,22 +396,29 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _read_token(m) -> tuple:
+    """The `(kind, value)` token of a `_TOKEN_RE` match."""
+    if m.group("num"):
+        try:
+            return ("num", Fraction(m.group("num")))
+        except ZeroDivisionError:
+            raise ParseError("zero denominator in %r" % m.group("num")) from None
+    if m.group("name"):
+        return ("name", m.group("name"))
+    return ("op", m.group("op"))
+
+
 def _tokenize(text: str) -> list:
     toks = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             if text[pos:].strip() == "":
                 break
             raise ParseError("unexpected character at %r" % text[pos:])
         pos = m.end()
-        if m.group("num"):
-            toks.append(("num", Fraction(m.group("num"))))
-        elif m.group("name"):
-            toks.append(("name", m.group("name")))
-        else:
-            toks.append(("op", m.group("op")))
+        toks.append(_read_token(m))
     return toks
 
 
@@ -517,9 +509,9 @@ def _mono_str(m: Mono) -> str:
     parts = []
     for v, e in m:
         if e == 1:
-            parts.append(var_name(v))
+            parts.append(v)
         else:
-            parts.append("%s^%d" % (var_name(v), e))
+            parts.append("%s^%d" % (v, e))
     return "*".join(parts)
 
 

@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass
 
 from .coeff import (
+    CoeffError,
     GR_I,
     GR_ONE,
     GaussRational,
@@ -138,10 +139,9 @@ _UNIT_STR = {"1": gr(1), "-1": gr(-1), "i": GR_I, "-i": -GR_I}
 
 
 def unit_from_str(s: str) -> GaussRational:
-    s = s.strip()
-    if s not in _UNIT_STR:
-        raise ParamError("expected a fourth root of unity, got %r" % s)
-    return _UNIT_STR[s]
+    if not isinstance(s, str) or s.strip() not in _UNIT_STR:
+        raise ParamError("expected a fourth root of unity, got %r" % (s,))
+    return _UNIT_STR[s.strip()]
 
 
 def params_from_json(data: dict) -> CategoryParams:
@@ -600,7 +600,7 @@ def classify(p: CategoryParams) -> list:
             candidate = family_instantiate(
                 family, p.epsilon, p.e, bindings, e_prime=p.e_prime
             )
-        except Exception:
+        except (ParamError, CoeffError):
             continue
         if candidate == p:
             out.append(family)

@@ -18,6 +18,12 @@ commuting odd letters (cups/caps when epsilon = -1) past each other.
 relation anywhere in a small word, then normalizing, agrees with normalizing
 the word directly.  It deliberately accepts inconsistent parameter records so
 that it can *detect* them.
+
+`_ENGINES` maps each parameter record to its engine, which holds the record's
+fingerprint, its consistency verdict and the memo of pushes; clearing it
+resets everything the engine remembers.  Each public call gets one budget of
+`DEFAULT_FUEL` steps, spent by every engine it uses; running out raises
+`FuelExhausted`, naming the letter and diagram it stopped on.
 """
 
 from __future__ import annotations
@@ -142,27 +148,36 @@ def _add_term(acc: dict, d: BrauerDiagram, coeff: LaurentPoly):
 # The engine
 
 
+_fuel = DEFAULT_FUEL  # steps left in the current public call
+
+
+def _tick(key):
+    """Spend one step on the memo key (kind, position, diagram)."""
+    global _fuel
+    _fuel -= 1
+    if _fuel <= 0:
+        kind, pos, d = key
+        raise FuelExhausted(
+            "step budget of %d exhausted pushing %s at %d on %s; engine defect"
+            % (DEFAULT_FUEL, kind, pos, d)
+        )
+
+
 class _Engine:
     """Memoized letter-pushing for one parameter record."""
 
-    def __init__(self, params: CategoryParams, fingerprint: str):
+    def __init__(self, params: CategoryParams):
         self.p = params
-        self.fp = fingerprint
+        self.fp = params.fingerprint()
+        self.violations = None  # check_consistency(params), once computed
         self.eps = params.epsilon
         self.e_poly = LaurentPoly.const(params.e)
         self.ep_poly = LaurentPoly.const(params.e_prime)
         self.cache = {}
-        self.fuel = DEFAULT_FUEL
-        self._flip = None
 
     def sign(self, t: int) -> int:
         """epsilon^t."""
         return -1 if (self.eps == -1 and t % 2 == 1) else 1
-
-    def _tick(self):
-        self.fuel -= 1
-        if self.fuel <= 0:
-            raise FuelExhausted("step budget exhausted; engine defect")
 
     # -- entry points -------------------------------------------------------
 
@@ -171,7 +186,7 @@ class _Engine:
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        self._tick()
+        _tick(key)
         if kind == CUP:
             if not 1 <= pos <= d.n + 1:
                 raise WidthMismatch("cup at %d on width %d" % (pos, d.n))
@@ -248,17 +263,6 @@ class _Engine:
             _acc(out, self._stack_block(d, s, a), c)
         return out
 
-    def _flip_engine(self) -> "_Engine":
-        if self._flip is None:
-            fq = vflip_params(self.p)
-            fp = _fingerprint(fq)
-            eng = _ENGINES.get(fp)
-            if eng is None:
-                eng = _Engine(fq, fp)
-                _ENGINES[fp] = eng
-            self._flip = eng
-        return self._flip
-
     def _attach_capj_nf(self, d: BrauerDiagram, x: int, t: int) -> dict:
         """Stack a generalized cap (right strand over t middles) on d.
 
@@ -279,15 +283,10 @@ class _Engine:
         if standard_letters(d) + block_letters == standard_letters(d2):
             out = {d2: lp_int(1)}
         else:
-            eng = self._flip_engine()
-            eng.fuel = self.fuel
-            try:
-                base = elem_cup_block(d.n - 2, t, x)
-                terms = eng.push_letters(
-                    standard_letters(vflip_diagram(d)), {base: lp_int(1)}
-                )
-            finally:
-                self.fuel = eng.fuel
+            base = elem_cup_block(d.n - 2, t, x)
+            terms = _engine(vflip_params(self.p)).push_letters(
+                standard_letters(vflip_diagram(d)), {base: lp_int(1)}
+            )
             out = {vflip_diagram(k): v for k, v in terms.items()}
         self.cache[key] = out
         return out
@@ -429,7 +428,7 @@ class _Engine:
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        self._tick()
+        _tick(key)
         out = self._push_capj_cases(x, t, d)
         self.cache[key] = out
         return out
@@ -512,59 +511,53 @@ def _prune(terms: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Public API
 
-_ENGINES = {}
-_FPS = {}
-_KNOWN_CONSISTENT = set()
+_ENGINES = {}  # CategoryParams -> _Engine
 
 
-def _fingerprint(p: CategoryParams) -> str:
-    fp = _FPS.get(p)
-    if fp is None:
-        fp = p.fingerprint()
-        _FPS[p] = fp
-    return fp
-
-
-def _engine_for(p: CategoryParams, fuel: int) -> _Engine:
-    fp = _fingerprint(p)
-    eng = _ENGINES.get(fp)
+def _engine(p: CategoryParams) -> _Engine:
+    eng = _ENGINES.get(p)
     if eng is None:
-        eng = _Engine(p, fp)
-        _ENGINES[fp] = eng
-    eng.fuel = fuel
+        eng = _ENGINES[p] = _Engine(p)
     return eng
 
 
+def _fingerprint(p: CategoryParams) -> str:
+    return _engine(p).fp
+
+
+def _engine_for(p: CategoryParams) -> _Engine:
+    """The engine of p, with a fresh step budget for one public call."""
+    global _fuel
+    _fuel = DEFAULT_FUEL
+    return _engine(p)
+
+
 def _require_consistent(p: CategoryParams):
-    fp = _fingerprint(p)
-    if fp in _KNOWN_CONSISTENT:
-        return
-    bad = check_consistency(p)
-    if bad:
-        raise InconsistentParams("parameters violate: %s" % ", ".join(bad))
-    _KNOWN_CONSISTENT.add(fp)
+    eng = _engine(p)
+    if eng.violations is None:
+        eng.violations = check_consistency(p)
+    if eng.violations:
+        raise InconsistentParams("parameters violate: %s" % ", ".join(eng.violations))
 
 
-def normalize(w: GenWord, p: CategoryParams, fuel: int = DEFAULT_FUEL) -> NormalForm:
+def normalize(w: GenWord, p: CategoryParams) -> NormalForm:
     """Normal form of a generator word (bottom-to-top letters)."""
     _require_consistent(p)
-    return _normalize_unchecked(w, p, fuel)
+    return _normalize_unchecked(w, p)
 
 
-def _normalize_unchecked(w: GenWord, p: CategoryParams, fuel: int = DEFAULT_FUEL):
-    eng = _engine_for(p, fuel)
+def _normalize_unchecked(w: GenWord, p: CategoryParams):
+    eng = _engine_for(p)
     terms = {identity_diagram(w.domain): lp_int(1)}
     for letter in w.letters:
         terms = eng.push_nf(letter.kind, letter.pos, terms)
     return NormalForm(w.domain, w.codomain, terms, eng.fp)
 
 
-def push_generator(
-    g: Letter, d: BrauerDiagram, p: CategoryParams, fuel: int = DEFAULT_FUEL
-) -> NormalForm:
+def push_generator(g: Letter, d: BrauerDiagram, p: CategoryParams) -> NormalForm:
     """Normal form of the letter g stacked on top of the diagram d."""
     _require_consistent(p)
-    eng = _engine_for(p, fuel)
+    eng = _engine_for(p)
     n_out = g.width_out(d.n)
     terms = eng.push(g.kind, g.pos, d)
     return NormalForm(d.m, n_out, dict(terms), eng.fp)
@@ -577,13 +570,12 @@ def _check_pair(x: NormalForm, y: NormalForm, p: CategoryParams):
     return fp
 
 
-def nf_compose(x: NormalForm, y: NormalForm, p: CategoryParams,
-               fuel: int = DEFAULT_FUEL) -> NormalForm:
+def nf_compose(x: NormalForm, y: NormalForm, p: CategoryParams) -> NormalForm:
     """Stack x on top of y."""
     fp = _check_pair(x, y, p)
     if x.m != y.n:
         raise WidthMismatch("compose: %d on top of %d" % (x.m, y.n))
-    eng = _engine_for(p, fuel)
+    eng = _engine_for(p)
     out = {}
     for dx, cx in x.terms.items():
         terms = dict(y.terms)
@@ -593,11 +585,10 @@ def nf_compose(x: NormalForm, y: NormalForm, p: CategoryParams,
     return NormalForm(y.m, x.n, _prune(out), fp)
 
 
-def nf_tensor(x: NormalForm, y: NormalForm, p: CategoryParams,
-              fuel: int = DEFAULT_FUEL) -> NormalForm:
+def nf_tensor(x: NormalForm, y: NormalForm, p: CategoryParams) -> NormalForm:
     """Place x to the left of y: (x ⊗ id) ∘ (id ⊗ y)."""
     fp = _check_pair(x, y, p)
-    eng = _engine_for(p, fuel)
+    eng = _engine_for(p)
     out = {}
     for dx, cx in x.terms.items():
         x_letters = standard_letters(dx)
@@ -757,14 +748,11 @@ def _relation_steps(p: CategoryParams, letters):
 
 
 def check_local_confluence(
-    p: CategoryParams,
-    max_width: int = 6,
-    max_letters: int = 4,
-    fuel: int = 10 ** 8,
+    p: CategoryParams, max_width: int = 6, max_letters: int = 4
 ) -> list:
     """Compare every one-step rewrite of every small word against direct
     normalization.  Returns [(GenWord, difference NormalForm), ...]."""
-    eng = _engine_for(p, fuel)
+    eng = _engine_for(p)
     failures = []
 
     def word_nf(domain, letters):

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .coeff import LaurentPoly, ParseError, lp_int, lp_str
+from .coeff import _TOKEN_RE, LaurentPoly, ParseError, _read_token, lp_int, lp_str
 from .coeff import _Parser as _PolyParser
 
 
@@ -202,55 +201,39 @@ def flatten(expr) -> list:
             out.extend(flatten(p))
         return out
     if isinstance(expr, Compose):
-        out = [(lp_int(1), None)]
-        # process bottom factor first
-        for part in reversed(expr.parts):
-            terms = flatten(part)
-            new = []
-            for c0, w0 in out:
-                for c1, w1 in terms:
-                    if w0 is None:
-                        new.append((c0 * c1, w1))
-                    else:
-                        new.append(
-                            (c0 * c1, GenWord(w0.domain, w0.letters + w1.letters))
-                        )
-            out = new
-        return out
+        # bottom factor first; each next factor's letters go on top
+        return _expand(
+            expr.parts[::-1],
+            lambda w0, w1: GenWord(w0.domain, w0.letters + w1.letters),
+        )
     if isinstance(expr, Tensor):
-        out = [(lp_int(1), None)]
-        for part in expr.parts:
-            terms = flatten(part)
-            new = []
-            for c0, w0 in out:
-                for c1, w1 in terms:
-                    if w0 is None:
-                        new.append((c0 * c1, w1))
-                    else:
-                        shifted = w1.shift(w0.domain)
-                        new.append(
-                            (
-                                c0 * c1,
-                                GenWord(
-                                    w0.domain + w1.domain,
-                                    shifted.letters + w0.letters,
-                                ),
-                            )
-                        )
-            out = new
-        return out
+        return _expand(
+            expr.parts,
+            lambda w0, w1: GenWord(
+                w0.domain + w1.domain, w1.shift(w0.domain).letters + w0.letters
+            ),
+        )
     raise TermError("unknown expression node %r" % (expr,))
+
+
+def _expand(parts, join) -> list:
+    """Every product of one term of each part, words glued by `join`."""
+    out = flatten(parts[0])
+    for part in parts[1:]:
+        terms = flatten(part)
+        out = [(c0 * c1, join(w0, w1)) for c0, w0 in out for c1, w1 in terms]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # DSL parser
 
 _GEN_RE = re.compile(r"(?:(?P<g>[sau])\(\s*(?P<i>\d+)\s*\)|(?P<id>id))@(?P<w>\d+)")
-_NUM_RE = re.compile(r"\d+(?:/\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def _tokenize_expr(text: str):
+    """Generators, the `#` and `.` operators, and the number, name and
+    operator tokens of `coeff`'s grammar."""
     toks = []
     pos = 0
     while pos < len(text):
@@ -266,17 +249,12 @@ def _tokenize_expr(text: str):
                 toks.append(("gen", (m.group("g"), int(m.group("i")), int(m.group("w")))))
             pos = m.end()
             continue
-        m = _NUM_RE.match(text, pos)
+        m = _TOKEN_RE.match(text, pos)
         if m:
-            toks.append(("num", Fraction(m.group())))
+            toks.append(_read_token(m))
             pos = m.end()
             continue
-        m = _NAME_RE.match(text, pos)
-        if m:
-            toks.append(("name", m.group()))
-            pos = m.end()
-            continue
-        if ch in "+-*^()#.":
+        if ch in "#.":
             toks.append(("op", ch))
             pos += 1
             continue
@@ -357,7 +335,11 @@ class _ExprParser(_PolyParser):
 
 def parse_expr(text: str):
     """Parse the morphism DSL into an expression tree (shapes validated)."""
-    parser = _ExprParser(_tokenize_expr(text))
+    try:
+        toks = _tokenize_expr(text)
+    except ParseError as ex:
+        raise ExprParseError(str(ex)) from None
+    parser = _ExprParser(toks)
     out = parser.parse_sum()
     if parser.pos != len(parser.toks):
         raise ExprParseError("trailing input: %r" % (parser.toks[parser.pos :],))

@@ -52,6 +52,29 @@ def test_coefficient_parse_error_exit_code(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("parse error:")
 
 
+def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path):
+    # each of these once escaped as a traceback
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"epsilon": 1}))
+    for argv in (
+        ["map", "-p", "bwm", "--functor", "rescale", "--alpha", "1+x", "s(1)@2"],
+        ["normalize", "-p", "bwm", "2/0*s(1)@2"],
+        ["normalize", "-p", "bwm", "(q+1)^-1*id@2"],
+        ["normalize", "--params", str(path), "s(1)@2"],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("parse error:") and err.count("\n") == 1, (argv, err)
+    # a unit that is not text is a bad parameter value
+    data = preset("bwm").to_json()
+    data["e"] = 5
+    path.write_text(json.dumps(data))
+    code = main(["normalize", "--params", str(path), "s(1)@2"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("parameter error:")
+
+
 def test_inconsistent_params_exit_code(capsys, tmp_path):
     data = preset("bwm").to_json()
     data["rho"] = "v"  # breaks the delooping consistency equations
@@ -157,7 +180,7 @@ def test_map_rescale(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["normal_form"]["terms"][0]["coeff"] == "t"
-    assert data["params"]["lam"] == "v*t^-1"
+    assert data["params"]["lam"] == "t^-1*v"
 
 
 def test_render_ascii(capsys):

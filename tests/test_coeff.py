@@ -66,6 +66,8 @@ def test_parse_rejects_garbage():
         lp_parse("q^v")
     with pytest.raises(ParseError):
         lp_parse("q *")
+    with pytest.raises(ParseError):
+        lp_parse("2/0 + q")
 
 
 def test_unary_minus_is_a_factor_prefix():

@@ -1,7 +1,12 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import brauercalc
 from brauercalc.coeff import GR_I, gr, lp_int, lp_parse, lp_str
 from brauercalc.params import (
     FAMILIES,
@@ -28,6 +33,34 @@ def test_preset_fingerprints_stable_and_distinct():
     fps = {name: preset(name).fingerprint() for name in PRESETS}
     assert len(set(fps.values())) == len(PRESETS)
     assert preset("bwm").fingerprint() == fps["bwm"]
+
+
+_HISTORY_PROBE = """
+import json, sys
+from brauercalc.coeff import lp_parse, lp_str, lp_var
+from brauercalc.params import preset
+for name in sys.argv[1:]:
+    lp_var(name)
+print(json.dumps([preset("bwm").fingerprint(), lp_str(lp_parse("b + a"))]))
+"""
+
+
+def test_fingerprints_and_text_do_not_depend_on_process_history():
+    # fresh interpreters: one meets no variable before the probe, the other
+    # meets z and a first
+    src = os.path.dirname(os.path.dirname(os.path.abspath(brauercalc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def probe(*names):
+        out = subprocess.run(
+            [sys.executable, "-c", _HISTORY_PROBE, *names],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        return json.loads(out)
+
+    fresh = probe()
+    assert probe("z", "a") == fresh
+    assert fresh == [preset("bwm").fingerprint(), "a + b"]
 
 
 def test_all_families_symbolically_consistent():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from brauercalc import rewrite
 from brauercalc.coeff import lp_int, lp_parse
 from brauercalc.diagram import (
     compose_oracle,
@@ -270,16 +271,43 @@ def test_compose_width_and_params_mismatch():
         x + z
 
 
-def test_fuel_exhaustion_reported():
-    # a fully symbolic record no other test normalizes with, so the engine
-    # memo is cold and the fuel budget is actually consumed
-    from brauercalc.coeff import gr
-    from brauercalc.params import family_instantiate
-
-    fresh = family_instantiate("Cbb_l_s", 1, gr(1), {})
+def test_fuel_exhaustion_reported(monkeypatch):
+    # an empty engine registry, so the memo is cold and the budget is spent
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    monkeypatch.setattr(rewrite, "DEFAULT_FUEL", 3)
     w = word(4, [cup(1), cross(2), cross(3), cap(2), cap(1), cup(2), cross(1)])
-    with pytest.raises(FuelExhausted):
-        normalize(w, fresh, fuel=3)
+    with pytest.raises(FuelExhausted) as info:
+        normalize(w, BWM)
+    # the message names the memo key it stopped on: kind, position, diagram
+    msg = str(info.value)
+    assert "step budget of 3 exhausted pushing" in msg
+    assert "BrauerDiagram(" in msg
+
+
+def test_normal_forms_survive_clearing_the_engine_registry():
+    # the registry is the engine's only memory: emptying it changes no
+    # normal form, fingerprint or consistency verdict
+    words = [
+        word(4, [cap(2), cross(1), cup(3)]),
+        word(4, [cross(1), cross(2), cross(3), cap(1), cap(1)]),
+        word(3, [cup(1), cross(2), cross(3), cap(2), cap(1), cup(2), cross(1)]),
+        word(2, [cross(1), cross(1), cup(2), cross(3), cross(2), cap(1)]),
+    ]
+    before = {
+        name: [normalize(w, preset(name)) for w in words] for name in PRESETS
+    }
+    rewrite._ENGINES.clear()
+    for name in PRESETS:
+        after = [normalize(w, preset(name)) for w in words]
+        assert [nf.to_json() for nf in after] == [nf.to_json() for nf in before[name]]
+        assert [nf.params_fingerprint for nf in after] == [
+            nf.params_fingerprint for nf in before[name]
+        ]
+    bad = dataclasses.replace(BWM, rho=BWM.rho + lp_int(1))
+    for _ in range(2):
+        with pytest.raises(InconsistentParams):
+            normalize(words[0], bad)
+        rewrite._ENGINES.clear()
 
 
 def test_normal_form_json_round_trip():

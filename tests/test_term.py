@@ -122,7 +122,7 @@ def test_parse_errors():
         with pytest.raises(Exception):
             parse_expr(bad)
     # a failed coefficient never leaks the coefficient parser's error
-    for bad in ["-s(1)@2", "q^x * id@2"]:
+    for bad in ["-s(1)@2", "q^x * id@2", "2/0 * s(1)@2", "id@2 + 1/0"]:
         with pytest.raises(ExprParseError):
             parse_expr(bad)
 
