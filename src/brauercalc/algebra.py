@@ -98,6 +98,8 @@ def mult_table(n: int, p: CategoryParams, bound: int = DEFAULT_TABLE_BOUND) -> M
     Tables above the bound (default 4, i.e. 105x105 entries) are rejected;
     pass a larger `bound` explicitly to compute them anyway.
     """
+    if n < 0:
+        raise AlgebraError("End(%d): n must not be negative" % n)
     if n > bound:
         raise AlgebraError(
             "End(%d) table exceeds the bound %d; pass a larger bound" % (n, bound)

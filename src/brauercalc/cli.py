@@ -56,6 +56,14 @@ EXIT_WIDTH = 3
 EXIT_PARAMS = 4
 
 
+def count(text):
+    """argparse type of a size or count: an integer that is not negative."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must not be negative: %d" % n)
+    return n
+
+
 def load_params(args):
     if getattr(args, "params", None):
         with open(args.params) as fh:
@@ -457,16 +465,16 @@ def build_parser():
 
     sp = sub.add_parser("table", help="multiplication table of End(n)")
     _add_params_flags(sp)
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=count)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--bound", type=int, default=4)
+    sp.add_argument("--bound", type=count, default=4)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("what", choices=("confluence", "table1", "presentation", "wenzl"))
     _add_params_flags(sp)
-    sp.add_argument("--max-width", type=int, default=4)
-    sp.add_argument("--max-letters", type=int, default=3)
+    sp.add_argument("--max-width", type=count, default=4)
+    sp.add_argument("--max-letters", type=count, default=3)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("classify", help="family tags matching a parameter record")
@@ -496,7 +504,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (
-        ExprParseError, CoeffError, NonUnitScale, AlgebraError, FileNotFoundError
+        ExprParseError, CoeffError, NonUnitScale, AlgebraError, OSError
     ) as ex:
         print("parse error: %s" % ex, file=sys.stderr)
         return EXIT_PARSE

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .coeff import LaurentPoly, lp_exact_div
 from .diagram import standard_letters
 from .params import CategoryParams, vflip_params
-from .rewrite import NormalForm, RewriteError, _add_term, _fingerprint, normalize
+from .rewrite import NormalForm, RewriteError, _acc, _fingerprint, normalize
 from .term import CAP, CROSS, CUP, GenWord, Letter
 
 
@@ -127,8 +127,7 @@ def _renormalized_image(nf: NormalForm, target: CategoryParams, mapper, m, n):
     for d, c in nf.terms.items():
         domain, letters = mapper(d)
         img = normalize(GenWord(domain, tuple(Letter(k, r) for k, r in letters)), target)
-        for d2, c2 in img.terms.items():
-            _add_term(terms, d2, c * c2)
+        _acc(terms, img.terms, c)
     return NormalForm(m, n, terms, _fingerprint(target))
 
 

@@ -20,10 +20,15 @@ the word directly.  It deliberately accepts inconsistent parameter records so
 that it can *detect* them.
 
 `_ENGINES` maps each parameter record to its engine, which holds the record's
-fingerprint, its consistency verdict and the memo of pushes; clearing it
-resets everything the engine remembers.  Each public call gets one budget of
-`DEFAULT_FUEL` steps, spent by every engine it uses; running out raises
-`FuelExhausted`, naming the letter and diagram it stopped on.
+fingerprint, its consistency verdict and its memo; clearing it resets
+everything the engine remembers.  The memo has three namespaces of keys
+(kind, position, diagram): a letter pushed on a diagram (kind `cross`, `cap`
+or `cup`), a cup block that tangles with the diagram's cups (kind
+`("cupblock", spread)`), and a cap whose right strand crosses over t middle
+strands, pushed on a cupless diagram (kind `("capj", t)`).  Each public call
+gets one budget of `DEFAULT_FUEL` steps, and every memo miss, in any engine
+the call uses, spends one; running out raises `FuelExhausted`, naming the key
+it stopped on.
 """
 
 from __future__ import annotations
@@ -33,11 +38,11 @@ from dataclasses import dataclass
 from .coeff import LaurentPoly, lp_exact_div, lp_int, lp_parse, lp_str
 from .diagram import (
     BrauerDiagram,
-    cap_blocks,
     compose_oracle,
     count_inversions,
-    diagram_from_parts,
+    cup_blocks,
     elem_cap_block,
+    elem_cross,
     elem_cup_block,
     from_pairs,
     identity_diagram,
@@ -91,12 +96,9 @@ class NormalForm:
         return not self.terms
 
     def scale(self, coeff: LaurentPoly) -> "NormalForm":
-        out = {}
-        for d, c in self.terms.items():
-            nc = c * coeff
-            if not nc.is_zero():
-                out[d] = nc
-        return NormalForm(self.m, self.n, out, self.params_fingerprint)
+        return NormalForm(
+            self.m, self.n, _acc({}, self.terms, coeff), self.params_fingerprint
+        )
 
     def __add__(self, other: "NormalForm") -> "NormalForm":
         if (self.m, self.n) != (other.m, other.n):
@@ -136,12 +138,20 @@ def nf_from_diagram(d: BrauerDiagram, p: CategoryParams) -> NormalForm:
 
 
 def _add_term(acc: dict, d: BrauerDiagram, coeff: LaurentPoly):
+    """Add coeff * d to acc; the one place a zero coefficient is dropped."""
     cur = acc.get(d)
     new = coeff if cur is None else cur + coeff
     if new.is_zero():
         acc.pop(d, None)
     else:
         acc[d] = new
+
+
+def _acc(acc: dict, terms: dict, coeff: LaurentPoly) -> dict:
+    """Add coeff * terms to acc and return acc."""
+    for d, c in terms.items():
+        _add_term(acc, d, c * coeff)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -179,37 +189,39 @@ class _Engine:
         """epsilon^t."""
         return -1 if (self.eps == -1 and t % 2 == 1) else 1
 
+    def _memo(self, key, compute, *args) -> dict:
+        """The memoized value of compute(*args) under key; a miss spends one
+        step of the budget."""
+        hit = self.cache.get(key)
+        if hit is None:
+            _tick(key)
+            hit = self.cache[key] = compute(*args)
+        return hit
+
     # -- entry points -------------------------------------------------------
 
     def push(self, kind: str, pos: int, d: BrauerDiagram) -> dict:
-        key = (kind, pos, d)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        _tick(key)
+        return self._memo((kind, pos, d), self._push_cases, kind, pos, d)
+
+    def _push_cases(self, kind: str, pos: int, d: BrauerDiagram) -> dict:
         if kind == CUP:
             if not 1 <= pos <= d.n + 1:
                 raise WidthMismatch("cup at %d on width %d" % (pos, d.n))
-            sgn, d2 = self._attach_cup(d, pos)
-            out = {d2: lp_int(sgn)}
-        elif kind == CROSS:
+            return self._stack_block(d, 0, pos)
+        if kind == CROSS:
             if not 1 <= pos <= d.n - 1:
                 raise WidthMismatch("crossing at %d on width %d" % (pos, d.n))
-            out = self._push_cross(pos, d)
-        elif kind == CAP:
+            return self._push_cross(pos, d)
+        if kind == CAP:
             if not 1 <= pos <= d.n - 1:
                 raise WidthMismatch("cap at %d on width %d" % (pos, d.n))
-            out = self._push_cap(pos, d)
-        else:
-            raise RewriteError("unknown letter kind %r" % kind)
-        self.cache[key] = out
-        return out
+            return self._push_cap(pos, d)
+        raise RewriteError("unknown letter kind %r" % kind)
 
     def push_nf(self, kind: str, pos: int, terms: dict) -> dict:
         out = {}
         for d, c in terms.items():
-            for d2, c2 in self.push(kind, pos, d).items():
-                _add_term(out, d2, c * c2)
+            _acc(out, self.push(kind, pos, d), c)
         return out
 
     def push_letters(self, letters, terms: dict) -> dict:
@@ -219,43 +231,24 @@ class _Engine:
 
     # -- attaching blocks ----------------------------------------------------
 
-    def _attach_cup(self, d: BrauerDiagram, a: int):
-        """Stack a plain cup at slot a on d; return (sign, diagram).
-
-        A plain cup occupies two adjacent columns, so it can always commute
-        down to its standard slot freely, picking up epsilon per cup block it
-        passes.
-        """
-        block = elem_cup_block(d.n, 0, a)
-        loops, d2 = compose_oracle(block, d)
-        assert loops == 0
-        # the cup is peeled after every pair with a larger left column
-        idx = sum(1 for i, _ in d2.cup_pairs() if i > a)
-        return self.sign(idx), d2
-
     def _stack_block(self, d: BrauerDiagram, s: int, a: int) -> dict:
         """Normal form of an elementary cup block stacked on d.
 
-        If the block letters land literally on top of the standard word of
-        the composite, the coefficient is 1.  Otherwise the block tangles
-        with the existing cups and its letters are pushed one at a time.
+        The block is peeled after every cup of d whose left column is at
+        least a.  If there is none, its letters land literally on top of the
+        standard word of d: the coefficient is 1.  A plain cup (s = 0)
+        commutes down past those cups freely, picking up epsilon per cup.
+        Otherwise the block tangles with the cups and its letters are pushed
+        one at a time.
         """
-        if s == 0:
-            sgn, d2 = self._attach_cup(d, a)
-            return {d2: lp_int(sgn)}
-        key = (("cupblock", s), a, d)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        block_letters = [(CUP, a)] + [(CROSS, a + j) for j in range(1, s + 1)]
+        above = sum(1 for i, _ in d.cup_pairs() if i >= a)
+        if s and above:
+            letters = [(CUP, a)] + [(CROSS, a + j) for j in range(1, s + 1)]
+            key = (("cupblock", s), a, d)
+            return self._memo(key, self.push_letters, letters, {d: lp_int(1)})
         loops, d2 = compose_oracle(elem_cup_block(d.n, s, a), d)
         assert loops == 0
-        if standard_letters(d) + block_letters == standard_letters(d2):
-            out = {d2: lp_int(1)}
-        else:
-            out = self.push_letters(block_letters, {d: lp_int(1)})
-        self.cache[key] = out
-        return out
+        return {d2: lp_int(self.sign(above))}
 
     def _stack_block_nf(self, terms: dict, s: int, a: int) -> dict:
         out = {}
@@ -266,30 +259,33 @@ class _Engine:
     def _attach_capj_nf(self, d: BrauerDiagram, x: int, t: int) -> dict:
         """Stack a generalized cap (right strand over t middles) on d.
 
-        d must have an identity permutation part and no cups.  If the cap
-        block lands literally on top of the standard word, the coefficient
-        is 1.  Otherwise the problem is reflected through a horizontal axis,
-        where it becomes stacking cup blocks (the flipped d) on a single cup
-        block, and solved by the engine of the flipped parameter record.
+        d must have an identity permutation part and no cups.  If every cap
+        of d sits right of the foot of the strand the cap's left leg lands
+        on, the cap block lands literally on top of the standard word: the
+        coefficient is 1.  Otherwise the problem is reflected through a
+        horizontal axis, where it becomes stacking cup blocks (the flipped
+        d) on a single cup block, and solved by the engine of the flipped
+        parameter record.
         """
-        key = (("capblock", t), x, d)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        block = elem_cap_block(d.n - 2, t, x)
-        loops, d2 = compose_oracle(block, d)
-        assert loops == 0
-        block_letters = [(CROSS, x + k) for k in range(t, 0, -1)] + [(CAP, x)]
-        if standard_letters(d) + block_letters == standard_letters(d2):
-            out = {d2: lp_int(1)}
-        else:
-            base = elem_cup_block(d.n - 2, t, x)
-            terms = _engine(vflip_params(self.p)).push_letters(
-                standard_letters(vflip_diagram(d)), {base: lp_int(1)}
-            )
-            out = {vflip_diagram(k): v for k, v in terms.items()}
-        self.cache[key] = out
-        return out
+        foot = d.through_pairs()[x - 1][0]
+        if all(i > foot for i, _ in d.cap_pairs()):
+            loops, d2 = compose_oracle(elem_cap_block(d.n - 2, t, x), d)
+            assert loops == 0
+            return {d2: lp_int(1)}
+        flip = _engine(vflip_params(self.p))
+        terms = {elem_cup_block(d.n - 2, t, x): lp_int(1)}
+        for s, a in reversed(cup_blocks(vflip_diagram(d))):
+            terms = flip._stack_block_nf(terms, s, a)
+        return {vflip_diagram(k): v for k, v in terms.items()}
+
+    def _twist(self, base: dict, d: BrauerDiagram, r: int) -> dict:
+        """A crossing at r doubles the top letter of base, giving d:
+        a*base + b*d + c*(cup_r o cap_r o base)."""
+        p = self.p
+        out = _acc({}, base, p.a)
+        _add_term(out, d, p.b)
+        tail = self.push_nf(CUP, r, self.push_nf(CAP, r, base))
+        return _acc(out, tail, p.c)
 
     # -- crossing -----------------------------------------------------------
 
@@ -297,18 +293,11 @@ class _Engine:
         p = self.p
         cups = d.cup_pairs()
         if not cups:
-            x = through_perm(d)
-            y = tuple(r if v == r - 1 else (r - 1 if v == r else v) for v in x)
-            base = diagram_from_parts(d.m, cap_blocks(d), y, [])
-            if count_inversions(y) > count_inversions(x):
+            _, base = compose_oracle(elem_cross(d.n, r), d)
+            if count_inversions(through_perm(base)) > count_inversions(through_perm(d)):
                 return {base: lp_int(1)}
             # the new crossing doubles the top letter of the permutation
-            out = {base: p.a, d: p.b}
-            tail = self.push_nf(CAP, r, {base: lp_int(1)})
-            tail = self.push_nf(CUP, r, tail)
-            for d2, c in tail.items():
-                _add_term(out, d2, c * p.c)
-            return _prune(out)
+            return self._twist({base: lp_int(1)}, d, r)
 
         left, right = max(cups)  # the topmost cup block
         s1, a1 = right - left - 1, left
@@ -323,38 +312,28 @@ class _Engine:
             return self._stack_block(rest, s1 + 1, a1)
         if r == a1 - 1:
             # crossing grabs the straight left leg of the block: sliding
-            out = {}
             dterm = self.push_letters(
                 [(CUP, a1 - 1)] + [(CROSS, a1 + j) for j in range(1, s1 + 1)],
                 rest_nf,
             )
-            _acc(out, dterm, p.d)
+            out = _acc({}, dterm, p.d)
             _acc(out, self._stack_block(rest, s1 + 1, a1 - 1), self.e_poly)
             _add_term(out, d, p.f)
-            return _prune(out)
+            return out
         if r == a1 and s1 == 0:
             return {d: p.lam}
         if r == a1:
             # crossing repeats the first crossing of the cascade: pulling
-            out = {}
             dterm = self.push_letters(
                 [(CUP, a1)] + [(CROSS, a1 + j) for j in range(2, s1 + 1)],
                 rest_nf,
             )
-            _acc(out, dterm, p.D)
+            out = _acc({}, dterm, p.D)
             _add_term(out, d, p.E)
-            _acc(out, self._stack_block(rest, s1 - 1, a1 + 1), p.F)
-            return _prune(out)
+            return _acc(out, self._stack_block(rest, s1 - 1, a1 + 1), p.F)
         if r == a1 + s1:
             # crossing doubles the top letter of the cascade: twisting
-            out = {}
-            base = self._stack_block(rest, s1 - 1, a1)
-            _acc(out, base, p.a)
-            _add_term(out, d, p.b)
-            tail = self.push_nf(CAP, a1 + s1, base)
-            tail = self.push_nf(CUP, a1 + s1, tail)
-            _acc(out, tail, p.c)
-            return _prune(out)
+            return self._twist(self._stack_block(rest, s1 - 1, a1), d, r)
         # a1 < r < a1 + s1: both strands pass under the arc; braid through
         return self._stack_block_nf(self.push(CROSS, r - 1, rest), s1, a1)
 
@@ -373,35 +352,33 @@ class _Engine:
 
         if r + 1 < left:
             out = self._stack_block_nf(self.push(CAP, r, rest), s1, a1 - 2)
-            return _scale_sign(out, self.sign(1))
+            return _acc({}, out, lp_int(self.sign(1)))
         if r > right:
             out = self._stack_block_nf(self.push(CAP, r - 2, rest), s1, a1)
-            return _scale_sign(out, self.sign(1))
+            return _acc({}, out, lp_int(self.sign(1)))
         if r == a1 - 1:
             # cap joins a free strand to the block's left leg: straightening
             letters = [(CROSS, a1 - 1 + j) for j in range(s1)]
-            return _scaled(self.push_letters(letters, rest_nf), p.sig)
+            return _acc({}, self.push_letters(letters, rest_nf), p.sig)
         if r == a1 and s1 == 0:
-            return _scaled(dict(rest_nf), p.delta)
+            return _acc({}, rest_nf, p.delta)
         if r == a1:
             # cap closes the block through its cascade: delooping
             letters = [(CROSS, a1 + j - 2) for j in range(2, s1 + 1)]
-            return _scaled(self.push_letters(letters, rest_nf), p.rho)
+            return _acc({}, self.push_letters(letters, rest_nf), p.rho)
         if r == right:
             if s1 == 0:
-                return _scaled(dict(rest_nf), p.sig_p)
+                return _acc({}, rest_nf, p.sig_p)
             # cap meets the cascade's top crossing: upside-down sliding
             base = self._stack_block(rest, s1 - 1, a1)
-            out = {}
-            _acc(out, self.push_nf(CAP, a1 + s1, base), p.d_p)
+            out = _acc({}, self.push_nf(CAP, a1 + s1, base), p.d_p)
             mid = self.push_nf(CROSS, a1 + s1 + 1, base)
             _acc(out, self.push_nf(CAP, a1 + s1, mid), self.ep_poly)
-            _acc(out, self.push_nf(CAP, a1 + s1 + 1, base), p.f_p)
-            return _prune(out)
+            return _acc(out, self.push_nf(CAP, a1 + s1 + 1, base), p.f_p)
         if r == a1 + s1:
             # cap undoes the cascade's top crossing: upside-down untwisting
             base = self._stack_block(rest, s1 - 1, a1)
-            return _scaled(self.push_nf(CAP, a1 + s1, base), p.lam_p)
+            return _acc({}, self.push_nf(CAP, a1 + s1, base), p.lam_p)
         # a1 < r < a1 + s1: cap lands on the cascade: upside-down pulling
         off = r - a1
         pre = [(CUP, a1)] + [(CROSS, a1 + i) for i in range(1, off)]
@@ -413,7 +390,7 @@ class _Engine:
             (p.F_p, [(CAP, r + 1)]),
         ):
             _acc(out, self.push_letters(pre + window + post, rest_nf), coeff)
-        return _prune(out)
+        return out
 
     # -- generalized cap over a cupless diagram ------------------------------
 
@@ -424,14 +401,7 @@ class _Engine:
         d must have no cups; the cap eats through the permutation part one
         reduced-word letter at a time.
         """
-        key = (("capj", t), x, d)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        _tick(key)
-        out = self._push_capj_cases(x, t, d)
-        self.cache[key] = out
-        return out
+        return self._memo((("capj", t), x, d), self._push_capj_cases, x, t, d)
 
     def _push_capj_cases(self, x: int, t: int, d: BrauerDiagram) -> dict:
         p = self.p
@@ -439,9 +409,7 @@ class _Engine:
         if not word:
             return self._attach_capj_nf(d, x, t)
         j = word[0]
-        perm = through_perm(d)
-        stripped = tuple(j if v == j - 1 else (j - 1 if v == j else v) for v in perm)
-        dt = diagram_from_parts(d.m, cap_blocks(d), stripped, [])
+        _, dt = compose_oracle(elem_cross(d.n, j), d)
 
         if j + 1 < x:
             return self.push_nf(CROSS, j, self._push_capj(x, t, dt))
@@ -451,61 +419,31 @@ class _Engine:
             # the crossing extends the cascade
             return self._push_capj(x, t + 1, dt)
         if j == x and t == 0:
-            return _scaled(self._push_capj(x, 0, dt), p.lam_p)
+            return _acc({}, self._push_capj(x, 0, dt), p.lam_p)
         if j == x - 1:
             # upside-down sliding against the cap's straight left strand
-            out = {}
             straight = self._push_capj(x - 1, 0, dt)
             shifted = [(CROSS, x + k - 2) for k in range(t, 0, -1)]
-            _acc(out, self.push_letters(shifted, straight), p.d_p)
+            out = _acc({}, self.push_letters(shifted, straight), p.d_p)
             _acc(out, self._push_capj(x - 1, t + 1, dt), self.ep_poly)
-            _acc(out, self._push_capj(x, t, dt), p.f_p)
-            return _prune(out)
+            return _acc(out, self._push_capj(x, t, dt), p.f_p)
         if j == x:
             # t >= 1: upside-down pulling at the cascade's bottom crossing
-            out = {}
             straight = self._push_capj(x, 0, dt)
             shifted = [(CROSS, x + k - 2) for k in range(t, 1, -1)]
-            _acc(out, self.push_letters(shifted, straight), p.D_p)
+            out = _acc({}, self.push_letters(shifted, straight), p.D_p)
             _acc(out, self._push_capj(x, t, dt), p.E_p)
-            _acc(out, self._push_capj(x + 1, t - 1, dt), p.F_p)
-            return _prune(out)
+            return _acc(out, self._push_capj(x + 1, t - 1, dt), p.F_p)
         if j == x + t:
             # t >= 1: the crossing doubles the cascade's bottom letter
-            out = {}
-            _acc(out, self._push_capj(x, t - 1, dt), p.a)
+            out = _acc({}, self._push_capj(x, t - 1, dt), p.a)
             _acc(out, self._push_capj(x, t, dt), p.b)
             tail = self.push_nf(CAP, x + t, {dt: lp_int(1)})
             tail = self.push_nf(CUP, x + t, tail)
             rest_letters = [(CROSS, x + k) for k in range(t - 1, 0, -1)] + [(CAP, x)]
-            _acc(out, self.push_letters(rest_letters, tail), p.c)
-            return _prune(out)
+            return _acc(out, self.push_letters(rest_letters, tail), p.c)
         # x < j < x + t: the crossing swaps two middle strands under the arc
         return self.push_nf(CROSS, j - 1, self._push_capj(x, t, dt))
-
-
-def _scaled(terms: dict, coeff: LaurentPoly) -> dict:
-    out = {}
-    for d, c in terms.items():
-        nc = c * coeff
-        if not nc.is_zero():
-            out[d] = nc
-    return out
-
-
-def _scale_sign(terms: dict, sgn: int) -> dict:
-    if sgn == 1:
-        return terms
-    return {d: (-c) for d, c in terms.items()}
-
-
-def _acc(acc: dict, terms: dict, coeff: LaurentPoly):
-    for d, c in terms.items():
-        _add_term(acc, d, c * coeff)
-
-
-def _prune(terms: dict) -> dict:
-    return {d: c for d, c in terms.items() if not c.is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +516,8 @@ def nf_compose(x: NormalForm, y: NormalForm, p: CategoryParams) -> NormalForm:
     eng = _engine_for(p)
     out = {}
     for dx, cx in x.terms.items():
-        terms = dict(y.terms)
-        for kind, pos in standard_letters(dx):
-            terms = eng.push_nf(kind, pos, terms)
-        _acc(out, terms, cx)
-    return NormalForm(y.m, x.n, _prune(out), fp)
+        _acc(out, eng.push_letters(standard_letters(dx), y.terms), cx)
+    return NormalForm(y.m, x.n, out, fp)
 
 
 def nf_tensor(x: NormalForm, y: NormalForm, p: CategoryParams) -> NormalForm:
@@ -599,7 +534,7 @@ def nf_tensor(x: NormalForm, y: NormalForm, p: CategoryParams) -> NormalForm:
                 letters, {identity_diagram(dx.m + dy.m): lp_int(1)}
             )
             _acc(out, terms, cx * cy)
-    return NormalForm(x.m + y.m, x.n + y.n, _prune(out), fp)
+    return NormalForm(x.m + y.m, x.n + y.n, out, fp)
 
 
 def under_cross(p: CategoryParams, check: bool = True) -> NormalForm:
@@ -767,16 +702,13 @@ def check_local_confluence(
                     continue
                 new_letters = letters[:h] + repl + letters[h + span :]
                 _acc(rhs, word_nf(domain, new_letters), coeff)
-            rhs = _prune(rhs)
             if rhs != lhs:
-                diff = dict(lhs)
-                for d2, c2 in rhs.items():
-                    _add_term(diff, d2, (-c2))
+                diff = _acc(dict(lhs), rhs, lp_int(-1))
                 gw = GenWord(domain, tuple(Letter(k, pos) for k, pos in letters))
                 failures.append(
                     (gw, NormalForm(domain, gw.codomain, diff, eng.fp))
                 )
-        if len(letters) == max_letters:
+        if len(letters) >= max_letters:
             return
         candidates = [(CROSS, r) for r in range(1, width)]
         candidates += [(CAP, r) for r in range(1, width)]

@@ -108,6 +108,8 @@ def test_unknown_preset_and_bad_n():
         check_presentation("brauer", 3)
     with pytest.raises(AlgebraError):
         check_presentation("bwm", 5)
+    with pytest.raises(AlgebraError):
+        mult_table(-1, BWM)
 
 
 def test_corrupted_rho_fails_the_expected_relation():

@@ -61,6 +61,7 @@ def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path):
         ["normalize", "-p", "bwm", "2/0*s(1)@2"],
         ["normalize", "-p", "bwm", "(q+1)^-1*id@2"],
         ["normalize", "--params", str(path), "s(1)@2"],
+        ["normalize", "--params", str(tmp_path), "s(1)@2"],
     ):
         code = main(argv)
         err = capsys.readouterr().err
@@ -73,6 +74,23 @@ def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path):
     code = main(["normalize", "--params", str(path), "s(1)@2"])
     assert code == 4
     assert capsys.readouterr().err.startswith("parameter error:")
+
+
+def test_negative_counts_exit_2(capsys):
+    # argparse rejects them before any work starts; a negative letter count
+    # once ran the confluence sweep forever, a negative n escaped as a
+    # DiagramError traceback
+    for argv in (
+        ["table", "-p", "bwm", "--", "-1"],
+        ["table", "-p", "bwm", "2", "--bound", "-1"],
+        ["verify", "confluence", "-p", "bwm", "--max-letters", "-3"],
+        ["verify", "confluence", "-p", "bwm", "--max-width", "-1"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 2, argv
+        assert "must not be negative" in err and "Traceback" not in err, (argv, err)
 
 
 def test_inconsistent_params_exit_code(capsys, tmp_path):

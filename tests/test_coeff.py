@@ -173,3 +173,78 @@ def test_eval_after_substitute(a):
     except DivisionByZero:
         return
     assert a.substitute(bind).eval(point) == direct
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against sympy (a test-only oracle)
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
+
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+
+
+def to_sympy(p):
+    out = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        term = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+        for name, e in mono:
+            term *= sympy.Symbol(name) ** e
+        out += term
+    return out
+
+
+def same(p, expr):
+    return sympy.expand(to_sympy(p) - expr) == 0
+
+
+@needs_sympy
+@settings(max_examples=40, deadline=None)
+@given(poly_st(), poly_st(), st.integers(0, 3))
+def test_ring_operations_match_sympy(a, b, k):
+    x, y = to_sympy(a), to_sympy(b)
+    assert same(a + b, x + y)
+    assert same(a - b, x - y)
+    assert same(a * b, x * y)
+    assert same(a ** k, x ** k)
+    if a.is_unit_monomial():
+        assert same(a ** -k, x ** -k)
+
+
+def _polynomial_part(expr, gens):
+    """expr as a sympy Poly over Q(i) with its monomial content removed."""
+    num, den = sympy.fraction(sympy.together(expr))
+    return sympy.Poly(num, *gens, domain="QQ_I").terms_gcd()[1]
+
+
+@needs_sympy
+@settings(max_examples=40, deadline=None)
+@given(poly_st(), poly_st(), poly_st())
+def test_exact_division_matches_sympy(a, b, c):
+    hypothesis.assume(not b.is_zero())
+    gens = [sympy.Symbol(name) for name in ("q", "v", "z")]
+    for p in (a * b, a * b + c):
+        divisor = _polynomial_part(to_sympy(b), gens)
+        # a monomial is a unit, so sympy divides the parts free of monomials
+        remainder = _polynomial_part(to_sympy(p), gens).rem(divisor)
+        if remainder.is_zero:
+            assert same(lp_exact_div(p, b) * b, to_sympy(p))
+        else:
+            with pytest.raises(InexactDivision):
+                lp_exact_div(p, b)
+
+
+@needs_sympy
+@settings(max_examples=40, deadline=None)
+@given(poly_st())
+def test_substitute_matches_sympy(a):
+    bind = {"q": lp_parse("w + 1"), "v": lp_parse("2*w^-1"), "z": lp_parse("i*w")}
+    q, v, z, w = sympy.symbols("q v z w")
+    expected = to_sympy(a).subs({q: w + 1, v: 2 / w, z: sympy.I * w}, simultaneous=True)
+    if any(name == "q" and e < 0 for mono in a.terms for name, e in mono):
+        with pytest.raises(NonInvertibleSubstitution):
+            a.substitute(bind)
+    else:
+        assert same(a.substitute(bind), expected)

@@ -189,3 +189,37 @@ def test_bad_diagrams():
         BrauerDiagram(1, 1, (0, 1))
     with pytest.raises(DiagramError):
         compose_oracle(identity_diagram(2), identity_diagram(3))
+
+
+def _small_diagrams(max_size):
+    for total in range(0, max_size + 1, 2):
+        for m in range(total + 1):
+            yield from enumerate_diagrams(m, total - m)
+
+
+def test_cup_block_lands_literally_iff_no_cup_starts_at_or_right_of_it():
+    # the engine's closed-form test for a cup block stacked on d
+    for d in _small_diagrams(8):
+        for s in range(d.n + 1):
+            for a in range(1, d.n - s + 2):
+                loops, d2 = compose_oracle(elem_cup_block(d.n, s, a), d)
+                assert loops == 0
+                block = [("cup", a)] + [("cross", a + j) for j in range(1, s + 1)]
+                literal = standard_letters(d) + block == standard_letters(d2)
+                assert literal == all(i < a for i, _ in d.cup_pairs()), (d, s, a)
+
+
+def test_cap_block_lands_literally_iff_every_cap_starts_right_of_its_foot():
+    # the engine's closed-form test for a cap whose right strand crosses over
+    # t middle strands, stacked on a cupless d with identity permutation part
+    for d in _small_diagrams(10):
+        if d.cup_pairs() or through_perm(d) != tuple(range(d.n)):
+            continue
+        for t in range(d.n - 1):
+            for x in range(1, d.n - t):
+                loops, d2 = compose_oracle(elem_cap_block(d.n - 2, t, x), d)
+                assert loops == 0
+                block = [("cross", x + k) for k in range(t, 0, -1)] + [("cap", x)]
+                literal = standard_letters(d) + block == standard_letters(d2)
+                foot = d.through_pairs()[x - 1][0]
+                assert literal == all(i > foot for i, _ in d.cap_pairs()), (d, t, x)

@@ -245,6 +245,11 @@ def test_local_confluence_detects_corruption():
 # Error paths and serialization
 
 
+def test_local_confluence_with_negative_letter_count_stops():
+    # no word is shorter than a negative bound: nothing is checked
+    assert check_local_confluence(BWM, max_width=2, max_letters=-3) == []
+
+
 def test_push_generator_matches_normalize():
     d = single([(1, 2), (0, 3)], 2, 2)
     nf = push_generator(Letter("cross", 1), d, BWM)
