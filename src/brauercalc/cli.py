@@ -4,8 +4,9 @@ Command-line surface for the diagram calculator.
 Subcommands: normalize, compose, tensor, table, verify, classify, map,
 render.  Parameters come from `--preset NAME` or `--params FILE.json`
 (never from the environment).  Exit codes: 0 success / all checks pass,
-1 a verification found counterexamples, 2 expression or input parse error,
-3 width error, 4 inconsistent parameters.
+1 a verification found counterexamples or the engine ran out of its step
+budget (one `engine error:` line on stderr), 2 expression or input parse
+error, 3 width error, 4 inconsistent parameters.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import io
 import json
 import sys
 
-from .algebra import AlgebraError, UnknownPreset, check_presentation, mult_table
+from .algebra import AlgebraError, check_presentation, mult_table
 from .coeff import CoeffError, lp_int, lp_parse, lp_str
 from .functors import NonUnitScale, RescaleSpec, hflip, rescale, vflip
 from .params import (
@@ -31,11 +32,11 @@ from .params import (
     wenzl_feasibility,
 )
 from .rewrite import (
+    FuelExhausted,
     InconsistentParams,
     NormalForm,
     WidthMismatch,
     check_local_confluence,
-    nf_from_diagram,
     normalize,
 )
 from .term import (
@@ -517,6 +518,9 @@ def main(argv=None):
     except TermError as ex:
         print("parse error: %s" % ex, file=sys.stderr)
         return EXIT_PARSE
+    except FuelExhausted as ex:
+        print("engine error: %s" % ex, file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ the image normal form together with the parameter record of the target
 category; the target record always satisfies the consistency equations when
 the source does.
 
-Images are computed on the diagram basis: the standard word of each basis
-diagram is transformed letter by letter and renormalized in the target
-category, then scaled by the term's coefficient.
+Images are computed on the diagram basis.  Under `rescale` and `vflip` each
+basis diagram goes to one diagram in closed form; under `hflip` its standard
+word is mirrored letter by letter and renormalized in the target category,
+then scaled by the term's coefficient.
 """
 
 from __future__ import annotations
@@ -19,9 +20,16 @@ import dataclasses
 from dataclasses import dataclass
 
 from .coeff import LaurentPoly, lp_exact_div
-from .diagram import standard_letters
+from .diagram import standard_letters, vflip_diagram
 from .params import CategoryParams, vflip_params
-from .rewrite import NormalForm, RewriteError, _acc, _fingerprint, normalize
+from .rewrite import (
+    NormalForm,
+    RewriteError,
+    _acc,
+    _fingerprint,
+    _require_consistent,
+    normalize,
+)
 from .term import CAP, CROSS, CUP, GenWord, Letter
 
 
@@ -122,13 +130,12 @@ def _count_letters(d) -> tuple:
     return caps, cups, crossings
 
 
-def _renormalized_image(nf: NormalForm, target: CategoryParams, mapper, m, n):
+def _renormalized_image(nf: NormalForm, target: CategoryParams, mapper):
     terms = {}
     for d, c in nf.terms.items():
-        domain, letters = mapper(d)
-        img = normalize(GenWord(domain, tuple(Letter(k, r) for k, r in letters)), target)
-        _acc(terms, img.terms, c)
-    return NormalForm(m, n, terms, _fingerprint(target))
+        letters = tuple(Letter(k, r) for k, r in mapper(d))
+        _acc(terms, normalize(GenWord(d.m, letters), target).terms, c)
+    return NormalForm(nf.m, nf.n, terms, _fingerprint(target))
 
 
 def rescale(nf: NormalForm, spec: RescaleSpec, src: CategoryParams):
@@ -148,17 +155,16 @@ def rescale(nf: NormalForm, spec: RescaleSpec, src: CategoryParams):
 
 
 def vflip(nf: NormalForm, src: CategoryParams):
-    """Turn the normal form upside down (contravariant)."""
+    """Turn the normal form upside down (contravariant).
+
+    Each basis diagram goes to its reflection with the coefficient unchanged:
+    its reversed standard word, cups and caps swapped, normalizes to the
+    reflected diagram with coefficient 1 in the flipped category.
+    """
     target = vflip_params(src)
-
-    def mapper(d):
-        flipped = []
-        for kind, pos in reversed(standard_letters(d)):
-            kind = CUP if kind == CAP else CAP if kind == CUP else CROSS
-            flipped.append((kind, pos))
-        return d.n, flipped
-
-    return _renormalized_image(nf, target, mapper, nf.n, nf.m), target
+    _require_consistent(target)
+    terms = {vflip_diagram(d): c for d, c in nf.terms.items()}
+    return NormalForm(nf.n, nf.m, terms, _fingerprint(target)), target
 
 
 def hflip(nf: NormalForm, src: CategoryParams):
@@ -177,6 +183,6 @@ def hflip(nf: NormalForm, src: CategoryParams):
                 w -= 2
             else:
                 mirrored.append((CROSS, w - pos))
-        return d.m, mirrored
+        return mirrored
 
-    return _renormalized_image(nf, target, mapper, nf.m, nf.n), target
+    return _renormalized_image(nf, target, mapper), target

@@ -4,7 +4,7 @@ the consistency checker.
 
 A category is determined by a sign `epsilon` (+1: cups/caps are even, -1:
 cups/caps are odd), two fourth roots of unity `e`, `e_prime`, and nineteen
-Laurent-polynomial parameters.  The independent ones are
+Laurent-polynomial parameters:
 
     lam, lam_p   coefficients of the untwisting moves (cup/cap side),
     sig, sig_p   coefficients of the straightening moves,
@@ -14,10 +14,13 @@ Laurent-polynomial parameters.  The independent ones are
                  (crossing^2 = a + b*crossing + c*cap-then-cup),
     d .. F_p     coefficients of the sliding and pulling moves.
 
-`check_consistency` evaluates the full equation system these parameters must
-satisfy for the rewriting system to be well defined, returning the labels of
-the equations that fail.  `family_instantiate` builds the classified
-solution families, and `preset` provides ready-made categories.
+The free ones are epsilon, e, e_prime, lam, lam_p, sig, delta, b, c, f and
+f_p; `make_params` derives the other eleven (a, rho, sig_p, d, d_p, D, D_p,
+E, E_p, F, F_p) from them.  `check_consistency` evaluates the full equation
+system these parameters must satisfy for the rewriting system to be well
+defined, returning the labels of the equations that fail.
+`family_instantiate` builds the classified solution families, and `preset`
+provides ready-made categories.
 """
 
 from __future__ import annotations
@@ -62,33 +65,12 @@ FAMILIES = (
     "C00_ml_0",
 )
 
-PRESETS = ("brauer", "bwm", "periplectic", "periplectic_q", "periplectic_q_op")
-
-LAURENT_FIELDS = (
-    "lam",
-    "lam_p",
-    "sig",
-    "sig_p",
-    "delta",
-    "rho",
-    "a",
-    "b",
-    "c",
-    "d",
-    "d_p",
-    "f",
-    "f_p",
-    "D",
-    "D_p",
-    "E",
-    "E_p",
-    "F",
-    "F_p",
-)
+# the fourth roots of unity, by their text form
+_UNIT_STR = {"1": gr(1), "-1": gr(-1), "i": GR_I, "-i": -GR_I}
 
 
 def _is_fourth_root(u: GaussRational) -> bool:
-    return u ** 4 == GR_ONE and not u.is_zero()
+    return u in _UNIT_STR.values()
 
 
 @dataclass(frozen=True)
@@ -135,7 +117,12 @@ class CategoryParams:
         }
 
 
-_UNIT_STR = {"1": gr(1), "-1": gr(-1), "i": GR_I, "-i": -GR_I}
+LAURENT_FIELDS = tuple(f.name for f in dataclasses.fields(CategoryParams))[3:]
+
+# (unprimed, primed) field pairs, exchanged by turning diagrams upside down
+_PRIMED = (("e", "e_prime"),) + tuple(
+    (name[:-2], name) for name in LAURENT_FIELDS if name.endswith("_p")
+)
 
 
 def unit_from_str(s: str) -> GaussRational:
@@ -153,13 +140,19 @@ def params_from_json(data: dict) -> CategoryParams:
     )
 
 
-def make_params(epsilon, e, e_prime, lam, lam_p, sig, delta, rho, a, b, c, f, f_p):
-    """Assemble a full record, computing the dependent parameters.
+def make_params(epsilon, e, e_prime, lam, lam_p, sig, delta, b, c, f, f_p):
+    """Assemble a full record from the free parameters, deriving the rest.
 
     sig_p = epsilon*sig, d = -e*f_p, d_p = -e_prime*f, E = b - f,
-    E_p = b - f_p, D = a*E/lam, D_p = a*E_p/lam_p, F = a/e, F_p = a/e_prime.
+    E_p = b - f_p, D = a*E/lam, D_p = a*E_p/lam_p, F = a/e, F_p = a/e_prime,
+    and the two values the consistency equations force: the curl
+    rho = sig_p*(d + e*lam) + f*delta (Rest.3) and the quadratic coefficient
+    a = lam^2 - b*lam - c*delta (QuadSame; with lam_p != lam, MuNeq's
+    a = -lam_p*lam, b = lam_p + lam, c = delta = 0 give the same value).
     """
-    eps = gr(epsilon)
+    sig_p = sig.scale(gr(epsilon))
+    d = f_p.scale(-e)
+    a = lam * lam - b * lam - c * delta
     E = b - f
     E_p = b - f_p
     return CategoryParams(
@@ -169,13 +162,13 @@ def make_params(epsilon, e, e_prime, lam, lam_p, sig, delta, rho, a, b, c, f, f_
         lam=lam,
         lam_p=lam_p,
         sig=sig,
-        sig_p=sig.scale(eps),
+        sig_p=sig_p,
         delta=delta,
-        rho=rho,
+        rho=sig_p * (d + lam.scale(e)) + f * delta,
         a=a,
         b=b,
         c=c,
-        d=f_p.scale(-e),
+        d=d,
         d_p=f.scale(-e_prime),
         f=f,
         f_p=f_p,
@@ -191,27 +184,12 @@ def make_params(epsilon, e, e_prime, lam, lam_p, sig, delta, rho, a, b, c, f, f_
 def vflip_params(p: CategoryParams) -> CategoryParams:
     """Parameter record of the category seen upside down.
 
-    Reflecting every relation through a horizontal axis exchanges the primed
-    and unprimed coefficients and fixes epsilon, delta, rho, a, b, c.
+    Reflecting every relation through a horizontal axis exchanges each
+    unprimed parameter with its primed partner (`_PRIMED`) and fixes
+    epsilon, delta, rho, a, b, c.
     """
     return dataclasses.replace(
-        p,
-        e=p.e_prime,
-        e_prime=p.e,
-        lam=p.lam_p,
-        lam_p=p.lam,
-        sig=p.sig_p,
-        sig_p=p.sig,
-        d=p.d_p,
-        d_p=p.d,
-        f=p.f_p,
-        f_p=p.f,
-        D=p.D_p,
-        D_p=p.D,
-        E=p.E_p,
-        E_p=p.E,
-        F=p.F_p,
-        F_p=p.F,
+        p, **{x: getattr(p, y) for pair in _PRIMED for x, y in (pair, pair[::-1])}
     )
 
 
@@ -232,12 +210,15 @@ def family_instantiate(
     (`lam`, `b`, `sig`, `delta`, `c` as applicable); unbound ones stay
     symbolic.  `e_prime` is only free in the families where it is not
     determined by `e`; passing it elsewhere must agree with the forced value.
+    A row fixes c and delta; `make_params` derives rho and a.
     """
     if family not in FAMILIES:
         raise ParamError("unknown family %r" % family)
     if epsilon not in (1, -1):
         raise ParamError("epsilon must be +1 or -1")
-    bindings = dict(bindings or {})
+    if not all(_is_fourth_root(u) for u in (e, e_prime) if u is not None):
+        raise ParamError("e and e_prime must be fourth roots of unity")
+    bindings = bindings or {}
     eps = gr(epsilon)
 
     def bound(name):
@@ -247,17 +228,9 @@ def family_instantiate(
 
     lam = bound("lam")
     zero = LaurentPoly.zero()
-    one = lp_int(1)
-
     group = family[:3]  # Cb0 / C0b / Cbb / C00
-    lamp_kind = family.split("_")[1]  # l / bl / ml
-    has_sig = family.endswith("_s")
-
-    if group in ("Cb0", "C0b", "Cbb"):
-        b = bound("b")
-    else:
-        b = zero
-    sig = bound("sig") if has_sig else zero
+    b = zero if group == "C00" else bound("b")
+    sig = bound("sig") if family.endswith("_s") else zero
 
     # unit constraints
     if group in ("Cb0", "C0b") or family == "C00_ml_s":
@@ -269,113 +242,51 @@ def family_instantiate(
     if need is not None and e * e != need:
         raise ParamError("family %s requires e^2 = %s" % (family, need))
 
-    # e_prime
+    # e_prime: free in the sig = 0 rows (in C00_l_0 only while c = delta = 0),
+    # 1/e in every other row, where the e^2 check above makes it equal to the
+    # row's -epsilon*e or epsilon*e
     if family in ("Cb0_l_0", "Cb0_bl_0", "C0b_l_0", "C0b_bl_0"):
         if e_prime is None:
             raise ParamError("family %s needs an explicit e_prime" % family)
         if e_prime * e_prime != gr(-epsilon):
             raise ParamError("family %s requires e_prime^2 = -epsilon" % family)
         ep = e_prime
-    elif family in ("C00_l_0", "C00_ml_0"):
-        if family == "C00_l_0":
-            # with c or delta nonzero the units must be mutually inverse
-            forced = e ** -1
-            ep = forced if e_prime is None else e_prime
-            c_bind = bindings.get("c", lp_var("c"))
-            delta_bind = bindings.get("delta", lp_var("delta"))
-            if (not c_bind.is_zero() or not delta_bind.is_zero()) and ep != forced:
-                raise ParamError("family C00_l_0 with c or delta nonzero needs e_prime = 1/e")
-        else:
-            ep = e_prime if e_prime is not None else e
-        if not _is_fourth_root(ep):
-            raise ParamError("e_prime must be a fourth root of unity")
+    elif family == "C00_ml_0":
+        ep = e if e_prime is None else e_prime
     else:
-        forced = _forced_e_prime(family, epsilon, e)
-        if e_prime is not None and e_prime != forced:
+        forced = e ** -1
+        ep = forced if e_prime is None else e_prime
+        if ep != forced and family != "C00_l_0":
             raise ParamError("family %s forces e_prime = %s" % (family, forced))
-        ep = forced
+        if ep != forced and not (bound("c").is_zero() and bound("delta").is_zero()):
+            raise ParamError("family C00_l_0 with c or delta nonzero needs e_prime = 1/e")
 
-    # lam_p
-    if lamp_kind == "l":
-        lam_p = lam
-    elif lamp_kind == "bl":
-        lam_p = b - lam
-    else:  # ml
-        lam_p = -lam
+    lam_p = {"l": lam, "bl": b - lam, "ml": -lam}[family.split("_")[1]]
+    f = b if group in ("Cb0", "Cbb") else zero
+    f_p = b if group in ("C0b", "Cbb") else zero
 
-    # f / f_p
-    if group == "Cb0":
-        f, f_p = b, zero
-    elif group == "C0b":
-        f, f_p = zero, b
+    c = delta = zero
+    if family in ("Cb0_l_s", "C0b_l_s"):
+        sgn = -eps * e if group == "Cb0" else eps * e
+        delta = lp_exact_div((sig * (lam + lam - b)).scale(sgn), b)
     elif group == "Cbb":
-        f, f_p = b, b
-    else:
-        f, f_p = zero, zero
-
-    # c, delta, rho, a per family
-    if group in ("Cb0", "C0b"):
-        c = zero
-        if family in ("Cb0_l_s", "C0b_l_s"):
-            sgn = gr(-epsilon) * e if group == "Cb0" else eps * e
-            delta = lp_exact_div((sig * (lam + lam - b)).scale(sgn), b)
-            rho_sign = gr(-epsilon) * e if group == "Cb0" else eps * e
-            rho = (sig * (lam - b)).scale(rho_sign)
-        elif family in ("Cb0_bl_s", "C0b_bl_s"):
-            delta = zero
-            if group == "Cb0":
-                rho = (sig * lam).scale(eps * e)
-            else:
-                rho = (sig * (lam - b)).scale(eps * e)
-        else:  # sig = 0 rows
-            delta = zero
-            rho = zero
-        a = lam * lam - b * lam
-    elif group == "Cbb":
-        sig_inv = sig.unit_inverse() if sig.is_unit_monomial() else None
-        if sig_inv is None:
+        if not sig.is_unit_monomial():
             raise ParamError("family Cbb_l_s needs an invertible sig")
-        c = (lam * b * sig_inv).scale(-e)
+        c = (lam * b * sig.unit_inverse()).scale(-e)
         delta = bound("delta")
-        rho = (sig * (lam - b)).scale(eps * e) + b * delta
-        a = lam * lam - b * lam - c * delta
-    else:  # C00
-        if family == "C00_l_0":
-            c = bound("c")
-            delta = bound("delta")
-            rho = zero
-        elif family == "C00_l_s":
-            c = zero
-            delta = bound("delta")
-            rho = (sig * lam).scale(eps * e)
-        elif family == "C00_ml_s":
-            c = zero
-            delta = zero
-            rho = (sig * lam).scale(eps * e)
-        else:  # C00_ml_0
-            c = zero
-            delta = zero
-            rho = zero
-        a = lam * lam - c * delta
+    elif family == "C00_l_0":
+        c, delta = bound("c"), bound("delta")
+    elif family == "C00_l_s":
+        delta = bound("delta")
 
-    return make_params(epsilon, e, ep, lam, lam_p, sig, delta, rho, a, b, c, f, f_p)
-
-
-def _forced_e_prime(family: str, epsilon: int, e: GaussRational) -> GaussRational:
-    eps = gr(epsilon)
-    if family in ("Cb0_l_s", "Cb0_bl_s", "C0b_l_s", "C0b_bl_s", "C00_ml_s"):
-        return -(eps * e)
-    if family in ("Cbb_l_s", "C00_l_s"):
-        return eps * e
-    raise ParamError("e_prime not forced for %s" % family)
+    return make_params(epsilon, e, ep, lam, lam_p, sig, delta, b, c, f, f_p)
 
 
 def legal_unit_choices(family: str, epsilon: int):
     """All (e, e_prime) pairs the family admits for the given epsilon."""
-    roots = [gr(1), gr(-1), GR_I, -GR_I]
     out = []
-    for e in roots:
-        for ep in roots:
+    for e in _UNIT_STR.values():
+        for ep in _UNIT_STR.values():
             try:
                 family_instantiate(family, epsilon, e, {}, e_prime=ep)
             except ParamError:
@@ -387,45 +298,30 @@ def legal_unit_choices(family: str, epsilon: int):
 # ---------------------------------------------------------------------------
 # Presets
 
+# name -> (family, epsilon, bindings as text); every preset has e = 1
+_PRESETS = {
+    "brauer": ("C00_l_s", 1, {"lam": "1", "sig": "1"}),
+    "bwm": (
+        "Cbb_l_s",
+        1,
+        {"lam": "v", "b": "z", "sig": "1", "delta": "v^-1*z^-1 - v*z^-1 + 1"},
+    ),
+    "periplectic": ("C00_ml_s", -1, {"lam": "1", "sig": "1"}),
+    "periplectic_q": ("Cb0_bl_s", -1, {"lam": "q", "b": "q - q^-1", "sig": "1"}),
+    "periplectic_q_op": ("C0b_bl_s", -1, {"lam": "q", "b": "q - q^-1", "sig": "-1"}),
+}
+
+PRESETS = tuple(_PRESETS)
+
 
 def preset(name: str) -> CategoryParams:
     """Ready-made parameter records.  Never consults the environment."""
-    if name == "brauer":
-        return family_instantiate(
-            "C00_l_s", 1, gr(1), {"lam": lp_int(1), "sig": lp_int(1)}
-        )
-    if name == "bwm":
-        return family_instantiate(
-            "Cbb_l_s",
-            1,
-            gr(1),
-            {
-                "lam": lp_var("v"),
-                "b": lp_var("z"),
-                "sig": lp_int(1),
-                "delta": lp_parse("v^-1*z^-1 - v*z^-1 + 1"),
-            },
-        )
-    if name == "periplectic":
-        return family_instantiate(
-            "C00_ml_s", -1, gr(1), {"lam": lp_int(1), "sig": lp_int(1)}
-        )
-    if name == "periplectic_q":
-        return family_instantiate(
-            "Cb0_bl_s",
-            -1,
-            gr(1),
-            {"lam": lp_var("q"), "b": lp_parse("q - q^-1"), "sig": lp_int(1)},
-        )
-    if name == "periplectic_q_op":
-        return family_instantiate(
-            "C0b_bl_s",
-            -1,
-            gr(1),
-            {"lam": lp_var("q"), "b": lp_parse("q - q^-1"), "sig": lp_int(-1)},
-        )
-    raise ParamError("unknown preset %r" % name)
-
+    if name not in _PRESETS:
+        raise ParamError("unknown preset %r" % name)
+    family, epsilon, bindings = _PRESETS[name]
+    return family_instantiate(
+        family, epsilon, gr(1), {k: lp_parse(v) for k, v in bindings.items()}
+    )
 
 # ---------------------------------------------------------------------------
 # Consistency checker
@@ -454,9 +350,6 @@ def check_consistency(p: CategoryParams) -> list:
     def eq(label, lhs, rhs):
         if lhs != rhs:
             fails.append(label)
-
-    if e ** 4 != GR_ONE or ep ** 4 != GR_ONE:
-        fails.append("E4")
 
     if L == Lp:
         eq("QuadSame", L * L - b * L - c * dl, a)

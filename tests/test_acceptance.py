@@ -43,7 +43,9 @@ from brauercalc.rewrite import (
 from brauercalc.term import GenWord, Letter, cross, word
 
 
-DEPENDENT_FIELDS = ("sig_p", "d", "d_p", "D", "D_p", "E", "E_p", "F", "F_p")
+DEPENDENT_FIELDS = (
+    "rho", "a", "sig_p", "d", "d_p", "D", "D_p", "E", "E_p", "F", "F_p"
+)
 
 
 def parity(nf):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from brauercalc import rewrite
 from brauercalc.cli import main
 from brauercalc.params import params_from_json, preset
 from brauercalc.rewrite import nf_from_json, normalize
@@ -229,3 +230,92 @@ def test_normalize_tikz(capsys):
     code, out = run(capsys, "normalize", "-p", "bwm", "--format", "tikz", "s(1)@2")
     assert code == 0
     assert "\\begin{tikzpicture}" in out and "\\end{document}" in out
+
+
+def test_fuel_exhaustion_exits_1_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(rewrite, "_ENGINES", {})  # a cold memo spends steps
+    monkeypatch.setattr(rewrite, "DEFAULT_FUEL", 3)
+    code = main(["normalize", "-p", "bwm", "s(1)@2 . s(1)@2 . s(1)@2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("engine error: step budget of 3 exhausted"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_TIKZ_HEAD = (
+    "\\documentclass[tikz]{standalone}\n"
+    "\\begin{document}\n"
+    "\\begin{tikzpicture}[line cap=round]\n"
+)
+_TIKZ_TAIL = "\\end{tikzpicture}\n\\end{document}\n"
+
+GOLDEN = [
+    (
+        ["render", "--format", "tikz", "a(1)@2 . s(1)@2 . u(1)@0"],
+        _TIKZ_HEAD
+        + "  \\draw (0,0.2) .. controls (0,1.4) and (1,1.4) .. (1,0.2);\n"
+        "  \\draw (0,0.2) -- (0,1);\n"
+        "  \\draw (1,0.2) -- (1,1);\n"
+        "  \\draw (0,1) -- (1,2);\n"
+        "  \\draw (1,1) -- (0,2);\n"
+        "  \\draw (0,2) .. controls (0,2.8) and (1,2.8) .. (1,2);\n"
+        + _TIKZ_TAIL,
+    ),
+    (
+        ["render", "--format", "tikz", "q * s(1)@2 + id@2"],
+        "% coefficient: q\n"
+        + _TIKZ_HEAD
+        + "  \\draw (0,0) -- (1,1);\n"
+        "  \\draw (1,0) -- (0,1);\n"
+        + _TIKZ_TAIL
+        + "\n% coefficient: 1\n"
+        + _TIKZ_HEAD
+        + "  \\draw (0,0) -- (0,1);\n"
+        "  \\draw (1,0) -- (1,1);\n"
+        + _TIKZ_TAIL,
+    ),
+    (
+        ["normalize", "-p", "brauer", "--format", "tikz", "u(1)@0 . a(1)@2"],
+        _TIKZ_HEAD
+        + "  \\fill (0,0) circle (2pt);\n"
+        "  \\fill (1,0) circle (2pt);\n"
+        "  \\fill (0,2) circle (2pt);\n"
+        "  \\fill (1,2) circle (2pt);\n"
+        "  \\draw (0,0) .. controls (0,1) and (1,1) .. (1,0);\n"
+        "  \\draw (0,2) .. controls (0,1) and (1,1) .. (1,2);\n"
+        "  \\node[anchor=west] at (2.5,1) {$1$};\n"
+        + _TIKZ_TAIL,
+    ),
+    (["normalize", "-p", "bwm", "s(1)@2 - s(1)@2"], "0 : Hom(2, 2)\n"),
+    (
+        ["map", "-p", "periplectic_q", "--functor", "hflip", "s(1)@2 . u(1)@0"],
+        json.dumps(
+            {
+                "normal_form": {
+                    "m": 0,
+                    "n": 2,
+                    "terms": [{"pairs": [[0, 1]], "coeff": "q"}],
+                },
+                "params": {
+                    "epsilon": -1, "e": "1", "e_prime": "1",
+                    "lam": "q", "lam_p": "-q^-1", "sig": "-1", "sig_p": "1",
+                    "delta": "0", "rho": "q^-1", "a": "1", "b": "q - q^-1",
+                    "c": "0", "d": "-q + q^-1", "d_p": "0", "f": "0",
+                    "f_p": "q - q^-1", "D": "1 - q^-2", "D_p": "0",
+                    "E": "q - q^-1", "E_p": "0", "F": "1", "F_p": "1",
+                },
+            },
+            indent=2,
+        )
+        + "\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    GOLDEN,
+    ids=["tikz-word", "tikz-sum", "tikz-arcs", "zero", "map-hflip"],
+)
+def test_golden_output(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected)

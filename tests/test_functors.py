@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from brauercalc.coeff import lp_int, lp_parse
-from brauercalc.diagram import identity_diagram
+from brauercalc.diagram import enumerate_diagrams, identity_diagram, standard_letters
 from brauercalc.functors import (
     NonUnitScale,
     RescaleSpec,
@@ -14,8 +15,14 @@ from brauercalc.functors import (
     vflip,
 )
 from brauercalc.params import PRESETS, check_consistency, classify, preset, vflip_params
-from brauercalc.rewrite import nf_compose, nf_from_diagram, nf_tensor, normalize
-from brauercalc.term import GenWord, Letter, cap, cross, cup, word
+from brauercalc.rewrite import (
+    InconsistentParams,
+    nf_compose,
+    nf_from_diagram,
+    nf_tensor,
+    normalize,
+)
+from brauercalc.term import CAP, CROSS, CUP, GenWord, Letter, cap, cross, cup, word
 
 from test_rewrite import random_word
 
@@ -116,6 +123,34 @@ def test_vflip_squares_to_identity(name):
         twice, back = vflip(once, target)
         assert twice.terms == nf.terms
         assert back == p
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_vflip_closed_form_matches_the_renormalized_flipped_word(name):
+    # reference: reverse the standard word, swap cups and caps, and
+    # normalize it in the flipped category
+    p = preset(name)
+    target = vflip_params(p)
+    swap = {CAP: CUP, CUP: CAP, CROSS: CROSS}
+    checked = 0
+    for total in range(0, 7, 2):
+        for m in range(total + 1):
+            for d in enumerate_diagrams(m, total - m):
+                letters = [Letter(swap[k], r) for k, r in reversed(standard_letters(d))]
+                expected = normalize(GenWord(d.n, tuple(letters)), target)
+                out, out_params = vflip(nf_from_diagram(d, p), p)
+                assert out_params == target
+                assert (out.m, out.n) == (expected.m, expected.n)
+                assert out.params_fingerprint == expected.params_fingerprint
+                assert out.terms == expected.terms, (name, d)
+                checked += 1
+    assert checked == 1 + 3 * 1 + 5 * 3 + 7 * 15  # shapes times (m+n-1)!!
+
+
+def test_vflip_rejects_an_inconsistent_record():
+    bad = dataclasses.replace(BWM, a=BWM.a + lp_int(1))
+    with pytest.raises(InconsistentParams):
+        vflip(nf_from_diagram(identity_diagram(2), bad), bad)
 
 
 def test_hflip_fixes_identity():

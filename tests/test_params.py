@@ -85,6 +85,27 @@ def test_illegal_unit_choices_rejected():
         family_instantiate("Cb0_bl_s", 1, gr(1), {})
     with pytest.raises(ParamError):
         family_instantiate("Cb0_l_0", 1, GR_I, {})  # e_prime required
+    # units that are not fourth roots, zero included, never reach 1/e
+    zero_c_delta = {"c": lp_int(0), "delta": lp_int(0)}
+    for family, e, e_prime in (
+        ("C00_ml_0", gr(0), None),
+        ("C00_l_0", gr(0), None),
+        ("C00_l_0", gr(1), gr(0)),
+        ("C00_ml_0", gr(2), None),
+    ):
+        with pytest.raises(ParamError):
+            family_instantiate(family, 1, e, zero_c_delta, e_prime=e_prime)
+
+
+def test_record_rejects_bad_units_and_epsilon_even_when_replaced():
+    # check_consistency has no unit equation: a record cannot hold a bad one
+    p = preset("bwm")
+    with pytest.raises(ParamError):
+        dataclasses.replace(p, e=gr(2))
+    with pytest.raises(ParamError):
+        dataclasses.replace(p, e_prime=gr(2))
+    with pytest.raises(ParamError):
+        dataclasses.replace(p, epsilon=0)
 
 
 def test_mutation_detection_bwm():
