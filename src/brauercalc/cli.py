@@ -305,6 +305,12 @@ def cmd_table(args):
 
 
 def cmd_verify(args):
+    # only confluence reads a parameter record; presentation takes a preset name
+    if args.params and args.what != "confluence":
+        raise ExprParseError("verify %s takes no --params" % args.what)
+    if args.preset and args.what in ("table1", "wenzl"):
+        raise ExprParseError("verify %s takes no --preset" % args.what)
+
     if args.what == "confluence":
         p = load_params(args)
         fails = check_local_confluence(

@@ -295,25 +295,12 @@ def elem_cup_block(w: int, s: int, a: int) -> BrauerDiagram:
 
 
 def elem_cap_block(w: int, s: int, a: int) -> BrauerDiagram:
-    """Cap block: mirror of the cup block; a (w+2, w) diagram.
+    """Cap block: the cup block upside down; a (w+2, w) diagram.
 
     The capped pair sits at bottom columns a and a+s+1; the right strand
     crosses over the s strands in between before being capped.
     """
-    if s < 0 or not 1 <= a <= w - s + 1:
-        raise DiagramError("cap block out of range")
-    pairs = [(a - 1, a + s)]
-    for j in range(1, w + 3):
-        if j == a or j == a + s + 1:
-            continue
-        if j < a:
-            t = j
-        elif j <= a + s:
-            t = j - 1
-        else:
-            t = j - 2
-        pairs.append((j - 1, (w + 2) + t - 1))
-    return from_pairs(w + 2, w, pairs)
+    return vflip_diagram(elem_cup_block(w, s, a))
 
 
 def elem_cup(w: int, r: int) -> BrauerDiagram:

@@ -6,7 +6,10 @@ Isomorphisms between diagram categories: rescaling and the two flips.
 (contravariant), `hflip` mirrors them left to right.  Each functor returns
 the image normal form together with the parameter record of the target
 category; the target record always satisfies the consistency equations when
-the source does.
+the source does.  `rescale_params` and `hflip_params` map the source's free
+parameters (`params.free_values`, which refuses a record whose derived
+fields do not follow from them) and let `make_params` derive the rest;
+`vflip_params` exchanges each parameter with its primed partner.
 
 Images are computed on the diagram basis.  Under `rescale` and `vflip` each
 basis diagram goes to one diagram in closed form; under `hflip` its standard
@@ -16,12 +19,11 @@ then scaled by the term's coefficient.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
-from .coeff import LaurentPoly, lp_exact_div
+from .coeff import LaurentPoly, gr, lp_exact_div
 from .diagram import standard_letters, vflip_diagram
-from .params import CategoryParams, vflip_params
+from .params import CategoryParams, free_values, make_params, vflip_params
 from .rewrite import (
     NormalForm,
     RewriteError,
@@ -60,61 +62,30 @@ class RescaleSpec:
 
 
 def rescale_params(p: CategoryParams, spec: RescaleSpec) -> CategoryParams:
-    """Parameter record of the rescaled category."""
-    ab = spec.alpha * spec.beta
-    g = spec.gamma
-    g2 = g * g
+    """Parameter record of the rescaled category.
 
-    def dv(x, y):
-        return lp_exact_div(x, y)
-
-    return dataclasses.replace(
-        p,
-        lam=dv(p.lam, g),
-        lam_p=dv(p.lam_p, g),
-        sig=dv(p.sig, ab),
-        sig_p=dv(p.sig_p, ab),
-        delta=dv(p.delta, ab),
-        rho=dv(p.rho, ab * g),
-        a=dv(p.a, g2),
-        b=dv(p.b, g),
-        c=dv(ab * p.c, g2),
-        d=dv(p.d, g),
-        d_p=dv(p.d_p, g),
-        f=dv(p.f, g),
-        f_p=dv(p.f_p, g),
-        D=dv(p.D, g2),
-        D_p=dv(p.D_p, g2),
-        E=dv(p.E, g),
-        E_p=dv(p.E_p, g),
-        F=dv(p.F, g2),
-        F_p=dv(p.F_p, g2),
-    )
+    Each free parameter is divided by the weight of the generators it
+    stands against: gamma for lam, lam_p, b, f and f_p, alpha*beta for sig
+    and delta; c, against a crossing squared, picks up alpha*beta/gamma^2.
+    `make_params` derives the rest.
+    """
+    ab, g = spec.alpha * spec.beta, spec.gamma
+    eps, e, ep, lam, lam_p, sig, delta, b, c, f, f_p = free_values(p)
+    lam, lam_p, b, f, f_p = (lp_exact_div(x, g) for x in (lam, lam_p, b, f, f_p))
+    sig, delta = (lp_exact_div(x, ab) for x in (sig, delta))
+    c = lp_exact_div(ab * c, g * g)
+    return make_params(eps, e, ep, lam, lam_p, sig, delta, b, c, f, f_p)
 
 
 def hflip_params(p: CategoryParams) -> CategoryParams:
-    """Parameter record of the left-right mirrored category."""
-    e_inv = p.e ** -1
-    ep_inv = p.e_prime ** -1
-    ee_inv = (p.e * p.e_prime) ** -1
-    ee = p.e * p.e_prime
-    return dataclasses.replace(
-        p,
-        sig=p.sig_p,
-        sig_p=p.sig,
-        rho=p.rho + (p.sig_p * (p.lam_p - p.lam)).scale(p.e),
-        e=e_inv,
-        e_prime=ep_inv,
-        d=p.d_p.scale(ee_inv),
-        d_p=p.d.scale(ee_inv),
-        f=p.f_p,
-        f_p=p.f,
-        D=lp_exact_div(p.D_p * p.lam_p, p.lam),
-        D_p=lp_exact_div(p.D * p.lam, p.lam_p),
-        E=p.E_p,
-        E_p=p.E,
-        F=p.F_p.scale(ee),
-        F_p=p.F.scale(ee),
+    """Parameter record of the left-right mirrored category.
+
+    The mirror inverts both units and exchanges f with f_p; its sig is the
+    source's sig_p (epsilon*sig).  `make_params` derives the rest.
+    """
+    eps, e, ep, lam, lam_p, sig, delta, b, c, f, f_p = free_values(p)
+    return make_params(
+        eps, e ** -1, ep ** -1, lam, lam_p, sig.scale(gr(eps)), delta, b, c, f_p, f
     )
 
 

@@ -16,11 +16,19 @@ Laurent-polynomial parameters:
 
 The free ones are epsilon, e, e_prime, lam, lam_p, sig, delta, b, c, f and
 f_p; `make_params` derives the other eleven (a, rho, sig_p, d, d_p, D, D_p,
-E, E_p, F, F_p) from them.  `check_consistency` evaluates the full equation
-system these parameters must satisfy for the rewriting system to be well
-defined, returning the labels of the equations that fail.
-`family_instantiate` builds the classified solution families, and `preset`
-provides ready-made categories.
+E, E_p, F, F_p) from them, and is the only place those formulas live.
+`free_values` returns a record's free parameters, and raises ParamError when
+`make_params` does not rebuild the record from them.
+
+`check_consistency` evaluates the full equation system these parameters must
+satisfy for the rewriting system to be well defined, returning the labels of
+the equations that fail.  Turning a category upside down (`vflip_params`)
+pairs most equations: FFb (1,2), ..., (11,12), Rest (5,6), (8,9) and DEF
+(1,4), (2,5), (3,6).  Each pair is stated once and read on the record and on
+its flip; Rest.2, Rest.3 and CNZ.5 are one side read both ways.  The others
+(QuadSame or MuNeq, Rest.1, 4, 7, CNZ.1-4, 6, SNZ.1 and Straight,
+sig_p = epsilon*sig) are stated and read once.  `family_instantiate` builds
+the classified families, and `preset` provides ready-made categories.
 """
 
 from __future__ import annotations
@@ -132,8 +140,11 @@ def unit_from_str(s: str) -> GaussRational:
 
 
 def params_from_json(data: dict) -> CategoryParams:
+    epsilon = data["epsilon"]
+    if type(epsilon) is not int or epsilon not in (1, -1):  # bool is not int
+        raise ValueError("epsilon must be the integer 1 or -1, got %s" % json.dumps(epsilon))
     return CategoryParams(
-        epsilon=int(data["epsilon"]),
+        epsilon=epsilon,
         e=unit_from_str(data["e"]),
         e_prime=unit_from_str(data["e_prime"]),
         **{name: lp_parse(data[name]) for name in LAURENT_FIELDS},
@@ -191,6 +202,25 @@ def vflip_params(p: CategoryParams) -> CategoryParams:
     return dataclasses.replace(
         p, **{x: getattr(p, y) for pair in _PRIMED for x, y in (pair, pair[::-1])}
     )
+
+
+def free_values(p: CategoryParams) -> tuple:
+    """The eleven `make_params` arguments of the record, in order.
+
+    Raises ParamError when `make_params` does not rebuild `p` from them, so a
+    map that works on free values never drops a derived field the record
+    got wrong.
+    """
+    values = (
+        p.epsilon, p.e, p.e_prime, p.lam, p.lam_p, p.sig, p.delta, p.b, p.c, p.f, p.f_p
+    )
+    try:
+        rebuilt = make_params(*values)
+    except CoeffError:
+        rebuilt = None
+    if rebuilt != p:
+        raise ParamError("the record's derived parameters do not follow from its free ones")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +357,21 @@ def preset(name: str) -> CategoryParams:
 # Consistency checker
 
 
-def check_consistency(p: CategoryParams) -> list:
-    """Return the labels of all consistency equations the record violates.
+# order of the equation groups in a check result
+_GROUPS = ("QuadSame", "MuNeq", "FFb", "Rest", "DEF", "CNZ", "SNZ", "Straight")
 
-    An empty list means the rewriting system over these parameters is well
-    defined.  Equations stated with denominators lam, lam_p, e or e_prime
-    are checked in cleared form (multiplied through), which is equivalent
-    because lam, lam_p are assumed invertible and e, e_prime are units.
+
+def _label_key(label):
+    group, _, number = label.partition(".")
+    return _GROUPS.index(group), int(number or 0)
+
+
+def _one_side(p: CategoryParams):
+    """One equation of each upside-down pair, as ((label, twin_label), lhs, rhs).
+
+    The twin is the same equation read on `vflip_params(p)`.  Rest.2, Rest.3
+    and CNZ.5 equate two twin expressions to a flip-fixed value (a*(b-f-f_p),
+    rho, 0), so each is one side whose twin carries the same label.
     """
     eps = gr(p.epsilon)
     e, ep = p.e, p.e_prime
@@ -341,9 +379,64 @@ def check_consistency(p: CategoryParams) -> list:
     S, Sp = p.sig, p.sig_p
     dl, rho = p.delta, p.rho
     a, b, c = p.a, p.b, p.c
-    d, dp = p.d, p.d_p
+    d, f, fp = p.d, p.f, p.f_p
+    D, E, F = p.D, p.E, p.F
+    bf, bfp = b - f, b - fp
+
+    # FFb system (cleared by lam / lam_p and the units where needed)
+    yield ("FFb.1", "FFb.2"), (a * bf).scale(e), L * c * S - (L * (b - L - f) * fp).scale(e)
+    yield ("FFb.3", "FFb.4"), (a * bf - f * L * L).scale(eps * e * e), (
+        L * (fp * fp - f * fp - fp * L + f * L) + (L * c * Sp).scale(e)
+    )
+    yield ("FFb.5", "FFb.6"), (b - f - f).scale(eps * e * e), b - fp - fp
+    yield ("FFb.7", "FFb.8"), L * fp * ((c * Sp).scale(e) + f * L), a * bf * bfp
+    yield ("FFb.9", "FFb.10"), L * (b - f - fp) - (c * Sp).scale(e), bf * bfp
+    yield ("FFb.11", "FFb.12"), (
+        L * ((c * Sp).scale(e) + f * L - f * f) - (c * Sp * f).scale(e)
+    ), a * bfp
+
+    # Remaining curl / loop equations
+    yield ("Rest.2", "Rest.2"), L * ((S * c).scale(ep) + f * fp) + c * dl * fp, a * (b - f - fp)
+    yield ("Rest.3", "Rest.3"), rho, Sp * (d + L.scale(e)) + f * dl
+    yield ("Rest.5", "Rest.6"), Lp * (L - b + fp) * rho, a * bfp * dl + (Lp * a * Sp).scale(e)
+    yield ("Rest.8", "Rest.9"), (Lp * a * dl).scale(e - ep ** -1), (
+        bfp * (S * a - (Lp * rho).scale(e))
+        + Lp * (b - fp - f) * L * S
+        - (Lp * c * S * Sp).scale(e)
+    )
+
+    # Pulling coefficient equations
+    yield ("DEF.1", "DEF.4"), a * (b * E + (c * Sp).scale(e)), (
+        D * D + E * a * L + E * b * D + E * c * Sp * d + F * L * d
+    )
+    yield ("DEF.2", "DEF.5"), (
+        a * L + b * D + b * b * E + c * Sp * d + (c * Sp * b).scale(e)
+    ), D * E + b * E * E + (E * c * Sp).scale(e) + (F * L).scale(e)
+    yield ("DEF.3", "DEF.6"), (
+        b * E * c * Sp + b * F * L + (c * c * Sp * Sp).scale(e) + c * Sp * L * f
+    ), D * F + E * b * F + E * c * Sp * f + F * L * f
+
+    if not c.is_zero():
+        yield ("CNZ.5", "CNZ.5"), (c * Sp).scale(e) + f * L, LaurentPoly.zero()
+
+
+def check_consistency(p: CategoryParams) -> list:
+    """Return the labels of all consistency equations the record violates.
+
+    An empty list means the rewriting system over these parameters is well
+    defined.  Equations stated with denominators lam, lam_p, e or e_prime
+    are checked in cleared form (multiplied through), which is equivalent
+    because lam, lam_p are assumed invertible and e, e_prime are units.
+    The flip-symmetric equations are stated here; each upside-down pair is
+    stated once in `_one_side` and read on `p` and on `vflip_params(p)`.
+    """
+    eps = gr(p.epsilon)
+    e, ep = p.e, p.e_prime
+    L, Lp = p.lam, p.lam_p
+    S, Sp = p.sig, p.sig_p
+    dl, rho = p.delta, p.rho
+    a, b, c = p.a, p.b, p.c
     f, fp = p.f, p.f_p
-    D, Dp, E, Ep, F, Fp = p.D, p.D_p, p.E, p.E_p, p.F, p.F_p
 
     fails = []
 
@@ -353,125 +446,40 @@ def check_consistency(p: CategoryParams) -> list:
 
     if L == Lp:
         eq("QuadSame", L * L - b * L - c * dl, a)
-    else:
-        ok = (
-            c.is_zero()
-            and dl.is_zero()
-            and a == -(Lp * L)
-            and b == Lp + L
-        )
-        if not ok:
-            fails.append("MuNeq")
+    elif not (c.is_zero() and dl.is_zero() and a == -(Lp * L) and b == Lp + L):
+        fails.append("MuNeq")
 
-    bf, bfp = b - f, b - fp
-
-    # FFb system (cleared by lam / lam_p and the units where needed)
-    eq("FFb.1", (a * bf).scale(e), L * c * S - (L * (b - L - f) * fp).scale(e))
-    eq("FFb.2", (a * bfp).scale(ep), Lp * c * Sp - (Lp * (b - Lp - fp) * f).scale(ep))
-    eq(
-        "FFb.3",
-        (a * bf - f * L * L).scale(eps * e * e),
-        L * (fp * fp - f * fp - fp * L + f * L) + (L * c * Sp).scale(e),
-    )
-    eq(
-        "FFb.4",
-        (a * bfp - fp * Lp * Lp).scale(eps * ep * ep),
-        Lp * (f * f - f * fp - f * Lp + fp * Lp) + (Lp * c * S).scale(ep),
-    )
-    eq("FFb.5", (b - f - f).scale(eps * e * e), b - fp - fp)
-    eq("FFb.6", (b - fp - fp).scale(eps * ep * ep), b - f - f)
-    eq("FFb.7", L * fp * ((c * Sp).scale(e) + f * L), a * bf * bfp)
-    eq("FFb.8", Lp * f * ((c * S).scale(ep) + fp * Lp), a * bf * bfp)
-    eq("FFb.9", L * (b - f - fp) - (c * Sp).scale(e), bf * bfp)
-    eq("FFb.10", Lp * (b - fp - f) - (c * S).scale(ep), bf * bfp)
-    eq("FFb.11", L * ((c * Sp).scale(e) + f * L - f * f) - (c * Sp * f).scale(e), a * bfp)
-    eq("FFb.12", Lp * ((c * S).scale(ep) + fp * Lp - fp * fp) - (c * S * fp).scale(ep), a * bf)
-
-    # Remaining curl / loop equations
     eq("Rest.1", c * rho, a * (b - f - fp))
-    r2a = L * ((S * c).scale(ep) + f * fp) + c * dl * fp
-    r2b = Lp * ((Sp * c).scale(e) + f * fp) + c * dl * f
-    r2c = a * (b - f - fp)
-    if not (r2a == r2b == r2c):
-        fails.append("Rest.2")
-    r3a = Sp * (d + L.scale(e)) + f * dl
-    r3b = S * (dp + Lp.scale(ep)) + fp * dl
-    if not (rho == r3a == r3b):
-        fails.append("Rest.3")
     eq("Rest.4", S * (Lp - L) * (lp_int(1) + lp_int(1).scale(eps * e * e)), LaurentPoly.zero())
-    eq("Rest.5", Lp * (L - b + fp) * rho, a * bfp * dl + (Lp * a * Sp).scale(e))
-    eq("Rest.6", L * (Lp - b + f) * rho, a * bf * dl + (L * a * S).scale(ep))
     eq(
         "Rest.7",
-        bf * (rho * L + a * dl) + (S * a * L).scale(ep),
-        bfp * (rho * Lp + a * dl) + (Sp * a * Lp).scale(e),
-    )
-    eq(
-        "Rest.8",
-        (Lp * a * dl).scale(e - ep ** -1),
-        bfp * (S * a - (Lp * rho).scale(e))
-        + Lp * (b - fp - f) * L * S
-        - (Lp * c * S * Sp).scale(e),
-    )
-    eq(
-        "Rest.9",
-        (L * a * dl).scale(ep - e ** -1),
-        bf * (Sp * a - (L * rho).scale(ep))
-        + L * (b - f - fp) * Lp * Sp
-        - (L * c * S * Sp).scale(ep),
-    )
-
-    # Pulling coefficient equations
-    eq(
-        "DEF.1",
-        a * (b * E + (c * Sp).scale(e)),
-        D * D + E * a * L + E * b * D + E * c * Sp * d + F * L * d,
-    )
-    eq(
-        "DEF.2",
-        a * L + b * D + b * b * E + c * Sp * d + (c * Sp * b).scale(e),
-        D * E + b * E * E + (E * c * Sp).scale(e) + (F * L).scale(e),
-    )
-    eq(
-        "DEF.3",
-        b * E * c * Sp + b * F * L + (c * c * Sp * Sp).scale(e) + c * Sp * L * f,
-        D * F + E * b * F + E * c * Sp * f + F * L * f,
-    )
-    eq(
-        "DEF.4",
-        a * (b * Ep + (c * S).scale(ep)),
-        Dp * Dp + Ep * a * Lp + Ep * b * Dp + Ep * c * S * dp + Fp * Lp * dp,
-    )
-    eq(
-        "DEF.5",
-        a * Lp + b * Dp + b * b * Ep + c * S * dp + (c * S * b).scale(ep),
-        Dp * Ep + b * Ep * Ep + (Ep * c * S).scale(ep) + (Fp * Lp).scale(ep),
-    )
-    eq(
-        "DEF.6",
-        b * Ep * c * S + b * Fp * Lp + (c * c * S * S).scale(ep) + c * S * Lp * fp,
-        Dp * Fp + Ep * b * Fp + Ep * c * S * fp + Fp * Lp * fp,
+        (b - f) * (rho * L + a * dl) + (S * a * L).scale(ep),
+        (b - fp) * (rho * Lp + a * dl) + (Sp * a * Lp).scale(e),
     )
 
     if not c.is_zero():
         eq("CNZ.1", f, fp)
         if not (f.scale(eps * e * e) == f and f.scale(eps * ep * ep) == f):
             fails.append("CNZ.2")
-        if not (E.is_zero() and Ep.is_zero()):
+        if not (p.E.is_zero() and p.E_p.is_zero()):
             fails.append("CNZ.3")
         if e * ep != GR_ONE:
             fails.append("CNZ.4")
-        cnz5a = (c * Sp).scale(e) + f * L
-        cnz5b = (c * S).scale(ep) + fp * Lp
-        if not (cnz5a.is_zero() and cnz5b.is_zero()):
-            fails.append("CNZ.5")
         eq("CNZ.6", L, Lp)
 
     if not S.is_zero():
         if e * ep != GR_ONE:
             fails.append("SNZ.1")
 
-    return fails
+    # the straightening moves of a cup and of a cap differ by the sign of
+    # the odd generators
+    eq("Straight", Sp, S.scale(eps))
+
+    for q, side in ((p, 0), (vflip_params(p), 1)):
+        for labels, lhs, rhs in _one_side(q):
+            eq(labels[side], lhs, rhs)
+
+    return sorted(set(fails), key=_label_key)
 
 
 # ---------------------------------------------------------------------------

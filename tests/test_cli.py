@@ -68,6 +68,17 @@ def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path):
         err = capsys.readouterr().err
         assert code == 2, argv
         assert err.startswith("parse error:") and err.count("\n") == 1, (argv, err)
+    # epsilon is the JSON integer 1 or -1; int() once read 1.5 and true as 1
+    # and -1.9 as -1
+    data = preset("bwm").to_json()
+    for epsilon in (1.5, True, -1.9, 1.0, "1", 0, 2, None):
+        data["epsilon"] = epsilon
+        path.write_text(json.dumps(data))
+        code = main(["normalize", "--params", str(path), "s(1)@2"])
+        err = capsys.readouterr().err
+        assert code == 2, epsilon
+        assert err.startswith("parse error: params file:"), (epsilon, err)
+        assert err.count("\n") == 1, (epsilon, err)
     # a unit that is not text is a bad parameter value
     data = preset("bwm").to_json()
     data["e"] = 5
@@ -95,12 +106,17 @@ def test_negative_counts_exit_2(capsys):
 
 
 def test_inconsistent_params_exit_code(capsys, tmp_path):
-    data = preset("bwm").to_json()
-    data["rho"] = "v"  # breaks the delooping consistency equations
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    code, _ = run(capsys, "normalize", "--params", str(path), "s(1)@2")
-    assert code == 4
+    for name, field, value in (
+        ("bwm", "rho", "v"),  # breaks the delooping consistency equations
+        # keeps sig_p = sig, breaking Straight; once normalized silently
+        ("brauer", "epsilon", -1),
+    ):
+        data = preset(name).to_json()
+        data[field] = value
+        path.write_text(json.dumps(data))
+        code, _ = run(capsys, "normalize", "--params", str(path), "a(2)@4 . u(1)@2 . u(1)@0")
+        assert code == 4, (name, field)
 
 
 def test_params_file_round_trip(capsys, tmp_path):
@@ -172,6 +188,27 @@ def test_verify_presentation(capsys):
     assert code == 0
     for row in json.loads(out)["results"]:
         assert row["failed"] == []
+
+
+def test_verify_rejects_a_record_it_would_ignore(capsys, tmp_path):
+    # only confluence reads a record; the others once checked the presets
+    # whatever --params or -p named
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(preset("bwm").to_json()))
+    for argv in (
+        ["verify", "table1", "--params", str(path)],
+        ["verify", "wenzl", "--params", str(path)],
+        ["verify", "presentation", "--params", str(path)],
+        ["verify", "presentation", "-p", "bwm", "--params", str(path)],
+        ["verify", "table1", "-p", "bwm"],
+        ["verify", "wenzl", "-p", "bwm"],
+    ):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        flag = "--params" if "--params" in argv else "--preset"
+        assert code == 2, argv
+        assert out == ""
+        assert err == "parse error: verify %s takes no %s\n" % (argv[1], flag)
 
 
 def test_classify(capsys):

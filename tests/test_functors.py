@@ -14,7 +14,17 @@ from brauercalc.functors import (
     rescale_params,
     vflip,
 )
-from brauercalc.params import PRESETS, check_consistency, classify, preset, vflip_params
+from brauercalc.params import (
+    FAMILIES,
+    PRESETS,
+    ParamError,
+    check_consistency,
+    classify,
+    family_instantiate,
+    legal_unit_choices,
+    preset,
+    vflip_params,
+)
 from brauercalc.rewrite import (
     InconsistentParams,
     nf_compose,
@@ -40,13 +50,41 @@ def test_rescale_spec_requires_unit_monomials():
         RescaleSpec(one, lp_parse("0"), one)
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS))
-def test_functor_targets_are_consistent(name):
-    p = preset(name)
+def _consistent_records():
+    """The presets, then every legal instantiation of the families."""
+    for name in sorted(PRESETS):
+        yield pytest.param(preset(name), id=name)
+    for family in FAMILIES:
+        for eps in (1, -1):
+            for e, ep in legal_unit_choices(family, eps):
+                p = family_instantiate(family, eps, e, {}, e_prime=ep)
+                yield pytest.param(p, id="%s,%+d,%s,%s" % (family, eps, e, ep))
+
+
+@pytest.mark.parametrize("p", _consistent_records())
+def test_functor_targets_are_consistent(p):
     spec = RescaleSpec(lp_parse("t"), lp_parse("2*t^-1"), lp_parse("t^3"))
-    assert check_consistency(rescale_params(p, spec)) == []
+    rescaled = rescale_params(p, spec)
+    assert check_consistency(rescaled) == []
+    assert rescale_params(rescaled, spec.inverse()) == p
     assert check_consistency(vflip_params(p)) == []
-    assert check_consistency(hflip_params(p)) == []
+    mirrored = hflip_params(p)
+    assert check_consistency(mirrored) == []
+    assert hflip_params(mirrored) == p
+
+
+def test_functor_maps_reject_a_record_make_params_cannot_rebuild():
+    spec = RescaleSpec(lp_parse("t"), lp_parse("1"), lp_parse("t"))
+    for bad in (
+        dataclasses.replace(BWM, rho=BWM.rho + lp_int(1)),
+        dataclasses.replace(BWM, D=BWM.D + lp_int(1)),
+        dataclasses.replace(PERI_Q, sig_p=PERI_Q.sig),
+        dataclasses.replace(BWM, lam=lp_int(0)),  # D = a*E/lam cannot be formed
+    ):
+        with pytest.raises(ParamError):
+            rescale_params(bad, spec)
+        with pytest.raises(ParamError):
+            hflip_params(bad)
 
 
 def test_rescale_of_identity_is_unchanged():

@@ -21,6 +21,8 @@ from brauercalc.params import (
     preset,
     wenzl_feasibility,
 )
+from brauercalc.rewrite import check_local_confluence
+from brauercalc.term import cap, cup, word
 
 
 def test_presets_are_consistent():
@@ -117,6 +119,74 @@ def test_mutation_detection_bwm():
     for name in dependent:
         corrupted = dataclasses.replace(p, **{name: getattr(p, name) + lp_int(1)})
         assert check_consistency(corrupted) != [], "corruption of %s undetected" % name
+
+
+# labels violated after adding 1 to one derived field, as the checker
+# reported them before each equation pair was stated once; the sig_p case
+# also breaks Straight
+MUTATION_LABELS = {
+    "bwm": {
+        "rho": ["Rest.1", "Rest.3", "Rest.5", "Rest.6"],
+        "a": [
+            "QuadSame", "Rest.1", "Rest.2", "Rest.5", "Rest.6",
+            "DEF.1", "DEF.2", "DEF.4", "DEF.5",
+        ],
+        "sig_p": [
+            "FFb.2", "FFb.3", "FFb.7", "FFb.9", "FFb.11", "Rest.2", "Rest.3",
+            "Rest.5", "Rest.7", "Rest.8", "DEF.1", "DEF.3", "CNZ.5", "Straight",
+        ],
+        "d": ["Rest.3", "DEF.1", "DEF.2"],
+        "d_p": ["Rest.3", "DEF.4", "DEF.5"],
+        "D": ["DEF.1", "DEF.2", "DEF.3"],
+        "D_p": ["DEF.4", "DEF.5", "DEF.6"],
+        "E": ["DEF.1", "DEF.2", "DEF.3", "CNZ.3"],
+        "E_p": ["DEF.4", "DEF.5", "DEF.6", "CNZ.3"],
+        "F": ["DEF.1", "DEF.2"],
+        "F_p": ["DEF.4", "DEF.5"],
+    },
+    "periplectic_q": {
+        "rho": ["Rest.3", "Rest.5", "Rest.6", "Rest.7", "Rest.8"],
+        "a": [
+            "MuNeq", "FFb.2", "FFb.4", "FFb.11", "Rest.5", "Rest.6",
+            "Rest.7", "Rest.8", "DEF.2", "DEF.4", "DEF.5",
+        ],
+        "sig_p": ["Rest.3", "Rest.5", "Rest.7", "Straight"],
+        "d": ["Rest.3", "DEF.1"],
+        "d_p": ["Rest.3", "DEF.4"],
+        "D": ["DEF.1", "DEF.2", "DEF.3"],
+        "D_p": ["DEF.4", "DEF.6"],
+        "E": ["DEF.1", "DEF.2", "DEF.3"],
+        "E_p": ["DEF.4", "DEF.5", "DEF.6"],
+        "F": ["DEF.2"],
+        "F_p": ["DEF.4", "DEF.5"],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_LABELS))
+def test_mutation_label_lists_are_pinned(name):
+    p = preset(name)
+    for field, labels in MUTATION_LABELS[name].items():
+        corrupted = dataclasses.replace(p, **{field: getattr(p, field) + lp_int(1)})
+        assert check_consistency(corrupted) == labels, field
+
+
+def test_straightening_sign_is_checked():
+    # C00_l_s with epsilon flipped keeps sig_p = sig; every other equation
+    # holds, yet the rewriting system is not confluent
+    checked = 0
+    for eps in (1, -1):
+        for e, ep in legal_unit_choices("C00_l_s", eps):
+            p = family_instantiate("C00_l_s", eps, e, {}, e_prime=ep)
+            flipped = dataclasses.replace(p, epsilon=-eps)
+            assert check_consistency(flipped) == ["Straight"]
+            assert check_local_confluence(flipped, max_width=4, max_letters=3)
+            checked += 1
+    assert checked == 4
+    flipped = dataclasses.replace(preset("brauer"), epsilon=-1)
+    fails = check_local_confluence(flipped, max_width=4, max_letters=3)
+    assert len(fails) == 3
+    assert fails[0][0] == word(0, [cup(1), cup(1), cap(2)])
 
 
 def test_bwm_preset_values():
