@@ -241,13 +241,9 @@ def tensor_oracle(left: BrauerDiagram, right: BrauerDiagram) -> BrauerDiagram:
 def vflip_diagram(d: BrauerDiagram) -> BrauerDiagram:
     """Exchange top and bottom boundaries."""
     m, n = d.m, d.n
-
-    def mp(i):
-        return n + i if i < m else i - m
-
-    pairs = [(mp(i), mp(j)) for i, j in enumerate(d.match) if j > i]
-    pairs = [(min(a, b), max(a, b)) for a, b in pairs]
-    return from_pairs(n, m, pairs)
+    # the old top dots come first; dot i < m moves to n + i, dot i >= m to i - m
+    match = d.match[m:] + d.match[:m]
+    return BrauerDiagram(n, m, tuple(j - m if j >= m else j + n for j in match))
 
 
 def hflip_diagram(d: BrauerDiagram) -> BrauerDiagram:

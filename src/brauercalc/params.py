@@ -27,8 +27,11 @@ pairs most equations: FFb (1,2), ..., (11,12), Rest (5,6), (8,9) and DEF
 (1,4), (2,5), (3,6).  Each pair is stated once and read on the record and on
 its flip; Rest.2, Rest.3 and CNZ.5 are one side read both ways.  The others
 (QuadSame or MuNeq, Rest.1, 4, 7, CNZ.1-4, 6, SNZ.1 and Straight,
-sig_p = epsilon*sig) are stated and read once.  `family_instantiate` builds
-the classified families, and `preset` provides ready-made categories.
+sig_p = epsilon*sig) are stated and read once.  The last label, Derived,
+is the `free_values` test: a record that `make_params` does not rebuild
+fails it, so every command that reads a record refuses the same ones.
+`family_instantiate` builds the classified families, and `preset` provides
+ready-made categories.
 """
 
 from __future__ import annotations
@@ -209,7 +212,7 @@ def free_values(p: CategoryParams) -> tuple:
 
     Raises ParamError when `make_params` does not rebuild `p` from them, so a
     map that works on free values never drops a derived field the record
-    got wrong.
+    got wrong; `check_consistency` reports such a record as Derived.
     """
     values = (
         p.epsilon, p.e, p.e_prime, p.lam, p.lam_p, p.sig, p.delta, p.b, p.c, p.f, p.f_p
@@ -358,7 +361,9 @@ def preset(name: str) -> CategoryParams:
 
 
 # order of the equation groups in a check result
-_GROUPS = ("QuadSame", "MuNeq", "FFb", "Rest", "DEF", "CNZ", "SNZ", "Straight")
+_GROUPS = (
+    "QuadSame", "MuNeq", "FFb", "Rest", "DEF", "CNZ", "SNZ", "Straight", "Derived"
+)
 
 
 def _label_key(label):
@@ -474,6 +479,15 @@ def check_consistency(p: CategoryParams) -> list:
     # the straightening moves of a cup and of a cap differ by the sign of
     # the odd generators
     eq("Straight", Sp, S.scale(eps))
+
+    # the sliding and pulling coefficients must take the values make_params
+    # derives: where sig, a or c vanish the equations above leave d, d_p, D,
+    # D_p, E or E_p free, and every other value tried there broke local
+    # confluence
+    try:
+        free_values(p)
+    except ParamError:
+        fails.append("Derived")
 
     for q, side in ((p, 0), (vflip_params(p), 1)):
         for labels, lhs, rhs in _one_side(q):

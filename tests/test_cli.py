@@ -1,12 +1,16 @@
+import dataclasses
 import json
 
 import pytest
 
 from brauercalc import rewrite
 from brauercalc.cli import main
+from brauercalc.coeff import lp_int
 from brauercalc.params import params_from_json, preset
 from brauercalc.rewrite import nf_from_json, normalize
 from brauercalc.term import cross, word
+
+from test_params import FREE_D
 
 
 def run(capsys, *argv):
@@ -109,14 +113,26 @@ def test_inconsistent_params_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.json"
     for name, field, value in (
         ("bwm", "rho", "v"),  # breaks the delooping consistency equations
-        # keeps sig_p = sig, breaking Straight; once normalized silently
+        # keeps sig_p = sig: of the named equations only Straight fails
         ("brauer", "epsilon", -1),
     ):
         data = preset(name).to_json()
         data[field] = value
         path.write_text(json.dumps(data))
-        code, _ = run(capsys, "normalize", "--params", str(path), "a(2)@4 . u(1)@2 . u(1)@0")
+        code, _ = run(capsys, "normalize", "--params", str(path), "s(1)@2")
         assert code == 4, (name, field)
+    # passes every named equation, but d is not the derived -e*f_p = 0;
+    # normalize and map refuse it alike
+    path.write_text(json.dumps(dataclasses.replace(FREE_D, d=lp_int(1)).to_json()))
+    for argv in (
+        ["normalize"],
+        ["map", "--functor", "hflip"],
+        ["map", "--functor", "rescale", "--gamma", "t"],
+    ):
+        code = main(argv + ["--params", str(path), "s(1)@2"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, ""), argv
+        assert err == "parameter error: parameters violate: Derived\n", argv
 
 
 def test_params_file_round_trip(capsys, tmp_path):

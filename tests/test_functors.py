@@ -34,6 +34,7 @@ from brauercalc.rewrite import (
 )
 from brauercalc.term import CAP, CROSS, CUP, GenWord, Letter, cap, cross, cup, word
 
+from test_params import FREE_D
 from test_rewrite import random_word
 
 
@@ -80,7 +81,10 @@ def test_functor_maps_reject_a_record_make_params_cannot_rebuild():
         dataclasses.replace(BWM, D=BWM.D + lp_int(1)),
         dataclasses.replace(PERI_Q, sig_p=PERI_Q.sig),
         dataclasses.replace(BWM, lam=lp_int(0)),  # D = a*E/lam cannot be formed
+        # passes every named equation and fails only Derived
+        dataclasses.replace(FREE_D, d=lp_int(1)),
     ):
+        assert "Derived" in check_consistency(bad)
         with pytest.raises(ParamError):
             rescale_params(bad, spec)
         with pytest.raises(ParamError):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import brauercalc
-from brauercalc.coeff import GR_I, gr, lp_int, lp_parse, lp_str
+from brauercalc.coeff import GR_I, GR_ONE, gr, lp_int, lp_parse, lp_str
 from brauercalc.params import (
     FAMILIES,
     PRESETS,
@@ -17,6 +17,7 @@ from brauercalc.params import (
     classify,
     family_instantiate,
     legal_unit_choices,
+    make_params,
     params_from_json,
     preset,
     wenzl_feasibility,
@@ -122,43 +123,46 @@ def test_mutation_detection_bwm():
 
 
 # labels violated after adding 1 to one derived field, as the checker
-# reported them before each equation pair was stated once; the sig_p case
-# also breaks Straight
+# reported them before each equation pair was stated once; each case also
+# fails Derived, and the sig_p case breaks Straight
 MUTATION_LABELS = {
     "bwm": {
-        "rho": ["Rest.1", "Rest.3", "Rest.5", "Rest.6"],
+        "rho": ["Rest.1", "Rest.3", "Rest.5", "Rest.6", "Derived"],
         "a": [
             "QuadSame", "Rest.1", "Rest.2", "Rest.5", "Rest.6",
             "DEF.1", "DEF.2", "DEF.4", "DEF.5",
+            "Derived",
         ],
         "sig_p": [
             "FFb.2", "FFb.3", "FFb.7", "FFb.9", "FFb.11", "Rest.2", "Rest.3",
             "Rest.5", "Rest.7", "Rest.8", "DEF.1", "DEF.3", "CNZ.5", "Straight",
+            "Derived",
         ],
-        "d": ["Rest.3", "DEF.1", "DEF.2"],
-        "d_p": ["Rest.3", "DEF.4", "DEF.5"],
-        "D": ["DEF.1", "DEF.2", "DEF.3"],
-        "D_p": ["DEF.4", "DEF.5", "DEF.6"],
-        "E": ["DEF.1", "DEF.2", "DEF.3", "CNZ.3"],
-        "E_p": ["DEF.4", "DEF.5", "DEF.6", "CNZ.3"],
-        "F": ["DEF.1", "DEF.2"],
-        "F_p": ["DEF.4", "DEF.5"],
+        "d": ["Rest.3", "DEF.1", "DEF.2", "Derived"],
+        "d_p": ["Rest.3", "DEF.4", "DEF.5", "Derived"],
+        "D": ["DEF.1", "DEF.2", "DEF.3", "Derived"],
+        "D_p": ["DEF.4", "DEF.5", "DEF.6", "Derived"],
+        "E": ["DEF.1", "DEF.2", "DEF.3", "CNZ.3", "Derived"],
+        "E_p": ["DEF.4", "DEF.5", "DEF.6", "CNZ.3", "Derived"],
+        "F": ["DEF.1", "DEF.2", "Derived"],
+        "F_p": ["DEF.4", "DEF.5", "Derived"],
     },
     "periplectic_q": {
-        "rho": ["Rest.3", "Rest.5", "Rest.6", "Rest.7", "Rest.8"],
+        "rho": ["Rest.3", "Rest.5", "Rest.6", "Rest.7", "Rest.8", "Derived"],
         "a": [
             "MuNeq", "FFb.2", "FFb.4", "FFb.11", "Rest.5", "Rest.6",
             "Rest.7", "Rest.8", "DEF.2", "DEF.4", "DEF.5",
+            "Derived",
         ],
-        "sig_p": ["Rest.3", "Rest.5", "Rest.7", "Straight"],
-        "d": ["Rest.3", "DEF.1"],
-        "d_p": ["Rest.3", "DEF.4"],
-        "D": ["DEF.1", "DEF.2", "DEF.3"],
-        "D_p": ["DEF.4", "DEF.6"],
-        "E": ["DEF.1", "DEF.2", "DEF.3"],
-        "E_p": ["DEF.4", "DEF.5", "DEF.6"],
-        "F": ["DEF.2"],
-        "F_p": ["DEF.4", "DEF.5"],
+        "sig_p": ["Rest.3", "Rest.5", "Rest.7", "Straight", "Derived"],
+        "d": ["Rest.3", "DEF.1", "Derived"],
+        "d_p": ["Rest.3", "DEF.4", "Derived"],
+        "D": ["DEF.1", "DEF.2", "DEF.3", "Derived"],
+        "D_p": ["DEF.4", "DEF.6", "Derived"],
+        "E": ["DEF.1", "DEF.2", "DEF.3", "Derived"],
+        "E_p": ["DEF.4", "DEF.5", "DEF.6", "Derived"],
+        "F": ["DEF.2", "Derived"],
+        "F_p": ["DEF.4", "DEF.5", "Derived"],
     },
 }
 
@@ -171,18 +175,37 @@ def test_mutation_label_lists_are_pinned(name):
         assert check_consistency(corrupted) == labels, field
 
 
-def test_straightening_sign_is_checked():
-    # C00_l_s with epsilon flipped keeps sig_p = sig; every other equation
-    # holds, yet the rewriting system is not confluent
-    checked = 0
+# sig = a = c = 0, where no named equation fixes d, d_p or D; the arguments
+# are epsilon, e, e_prime, lam, lam_p, sig, delta, b, c, f, f_p
+FREE_D = make_params(
+    1, GR_ONE, GR_ONE, lp_parse("v"), lp_parse("v"), lp_int(0), lp_int(0),
+    lp_parse("v"), lp_int(0), lp_int(0), lp_int(0),
+)
+
+
+def _records_the_named_equations_missed():
+    """Records that pass every equation but Straight and Derived, with the
+    labels they fail."""
+    # C00_l_s with epsilon flipped keeps sig_p = sig
     for eps in (1, -1):
         for e, ep in legal_unit_choices("C00_l_s", eps):
             p = family_instantiate("C00_l_s", eps, e, {}, e_prime=ep)
-            flipped = dataclasses.replace(p, epsilon=-eps)
-            assert check_consistency(flipped) == ["Straight"]
-            assert check_local_confluence(flipped, max_width=4, max_letters=3)
-            checked += 1
-    assert checked == 4
+            yield dataclasses.replace(p, epsilon=-eps), ["Straight", "Derived"]
+    # sig = a = c = 0: no named equation fixes d, d_p or (up to a sign) D
+    for field, value in (("d", "1"), ("d_p", "3"), ("D", "-v^2")):
+        yield dataclasses.replace(FREE_D, **{field: lp_parse(value)}), ["Derived"]
+
+
+def test_records_the_named_equations_missed_are_rejected():
+    # each passes every other equation, yet the rewriting system is not
+    # confluent
+    cases = list(_records_the_named_equations_missed())
+    assert len(cases) == 7
+    for q, labels in cases:
+        assert check_consistency(q) == labels
+        assert check_local_confluence(q, max_width=4, max_letters=3), labels
+    assert check_consistency(FREE_D) == []
+    assert not check_local_confluence(FREE_D, max_width=4, max_letters=3)
     flipped = dataclasses.replace(preset("brauer"), epsilon=-1)
     fails = check_local_confluence(flipped, max_width=4, max_letters=3)
     assert len(fails) == 3
