@@ -37,6 +37,8 @@ from .rewrite import (
     NormalForm,
     WidthMismatch,
     check_local_confluence,
+    nf_compose,
+    nf_tensor,
     normalize,
 )
 from .term import (
@@ -96,8 +98,7 @@ def eval_expr(text, p):
 
 
 def diagram_label(pairs):
-    inner = " ".join("%d-%d" % (i, j) for i, j in pairs)
-    return inner
+    return " ".join("%d-%d" % (i, j) for i, j in pairs)
 
 
 def nf_ascii(nf: NormalForm) -> str:
@@ -259,8 +260,6 @@ def cmd_normalize(args):
 
 
 def cmd_compose(args):
-    from .rewrite import nf_compose
-
     p = load_params(args)
     x = eval_expr(args.top, p)
     y = eval_expr(args.bottom, p)
@@ -269,8 +268,6 @@ def cmd_compose(args):
 
 
 def cmd_tensor(args):
-    from .rewrite import nf_tensor
-
     p = load_params(args)
     x = eval_expr(args.left, p)
     y = eval_expr(args.right, p)

@@ -48,6 +48,17 @@ class InexactDivision(CoeffError):
     exist."""
 
 
+def _power(base, k: int, one):
+    """base ** k for k >= 0 by square-and-multiply; one is the unit."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 
@@ -86,14 +97,7 @@ class GaussRational:
     def __pow__(self, k: int) -> "GaussRational":
         if k < 0:
             return GR_ONE / (self ** (-k))
-        out = GR_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, GR_ONE)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -230,14 +234,7 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             return self.unit_inverse() ** (-k)
-        out = _LP_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, _LP_ONE)
 
     def scale(self, c: GaussRational) -> "LaurentPoly":
         return LaurentPoly({m: cc * c for m, cc in self.terms.items()})

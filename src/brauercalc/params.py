@@ -138,7 +138,7 @@ _PRIMED = (("e", "e_prime"),) + tuple(
 
 def unit_from_str(s: str) -> GaussRational:
     if not isinstance(s, str) or s.strip() not in _UNIT_STR:
-        raise ParamError("expected a fourth root of unity, got %r" % (s,))
+        raise ValueError("expected a fourth root of unity, got %s" % json.dumps(s))
     return _UNIT_STR[s.strip()]
 
 

@@ -21,14 +21,17 @@ that it can *detect* them.
 
 `_ENGINES` maps each parameter record to its engine, which holds the record's
 fingerprint, its consistency verdict and its memo; clearing it resets
-everything the engine remembers.  The memo has three namespaces of keys
+everything the engine remembers.  The memo has two namespaces of keys
 (kind, position, diagram): a letter pushed on a diagram (kind `cross`, `cap`
-or `cup`), a cup block that tangles with the diagram's cups (kind
-`("cupblock", spread)`), and a cap whose right strand crosses over t middle
-strands, pushed on a cupless diagram (kind `("capj", t)`).  Each public call
-gets one budget of `DEFAULT_FUEL` steps, and every memo miss, in any engine
-the call uses, spends one; running out raises `FuelExhausted`, naming the key
-it stopped on.
+or `cup`), and a cup block that tangles with the diagram's cups (kind
+`("cupblock", spread)`).  A cap pushed on a cupless diagram is solved in two
+steps: if it lands literally on the standard word its coefficient is 1;
+otherwise the problem is turned upside down, where it becomes the flipped
+diagram's crossings and cups pushed on a single cup by the engine of the
+flipped record (`vflip_params`).  Each public call gets one budget of
+`DEFAULT_FUEL` steps, and every memo miss, in any engine the call uses,
+spends one; running out raises `FuelExhausted`, naming the key it stopped
+on.
 """
 
 from __future__ import annotations
@@ -40,18 +43,16 @@ from .diagram import (
     BrauerDiagram,
     compose_oracle,
     count_inversions,
-    cup_blocks,
     elem_cap_block,
     elem_cross,
     elem_cup_block,
     from_pairs,
     identity_diagram,
-    permutation_canonical_word,
     remove_top_pair,
     standard_letters,
     through_perm,
+    vflip_diagram,
 )
-from .diagram import vflip_diagram
 from .params import CategoryParams, check_consistency, vflip_params
 from .term import CAP, CROSS, CUP, GenWord, Letter
 
@@ -256,28 +257,6 @@ class _Engine:
             _acc(out, self._stack_block(d, s, a), c)
         return out
 
-    def _attach_capj_nf(self, d: BrauerDiagram, x: int, t: int) -> dict:
-        """Stack a generalized cap (right strand over t middles) on d.
-
-        d must have an identity permutation part and no cups.  If every cap
-        of d sits right of the foot of the strand the cap's left leg lands
-        on, the cap block lands literally on top of the standard word: the
-        coefficient is 1.  Otherwise the problem is reflected through a
-        horizontal axis, where it becomes stacking cup blocks (the flipped
-        d) on a single cup block, and solved by the engine of the flipped
-        parameter record.
-        """
-        foot = d.through_pairs()[x - 1][0]
-        if all(i > foot for i, _ in d.cap_pairs()):
-            loops, d2 = compose_oracle(elem_cap_block(d.n - 2, t, x), d)
-            assert loops == 0
-            return {d2: lp_int(1)}
-        flip = _engine(vflip_params(self.p))
-        terms = {elem_cup_block(d.n - 2, t, x): lp_int(1)}
-        for s, a in reversed(cup_blocks(vflip_diagram(d))):
-            terms = flip._stack_block_nf(terms, s, a)
-        return {vflip_diagram(k): v for k, v in terms.items()}
-
     def _twist(self, base: dict, d: BrauerDiagram, r: int) -> dict:
         """A crossing at r doubles the top letter of base, giving d:
         a*base + b*d + c*(cup_r o cap_r o base)."""
@@ -343,7 +322,17 @@ class _Engine:
         p = self.p
         cups = d.cup_pairs()
         if not cups:
-            return self._push_capj(r, 0, d)
+            # a cap that lands literally on the standard word of d has
+            # coefficient 1 by definition; any other is solved upside down,
+            # where the flipped d (crossings and cups only) is stacked on a
+            # single cup by the engine of the flipped record
+            _, d2 = compose_oracle(elem_cap_block(d.n - 2, 0, r), d)
+            if standard_letters(d2) == standard_letters(d) + [(CAP, r)]:
+                return {d2: lp_int(1)}
+            flip = _engine(vflip_params(p))
+            cup = {elem_cup_block(d.n - 2, 0, r): lp_int(1)}
+            terms = flip.push_letters(standard_letters(vflip_diagram(d)), cup)
+            return {vflip_diagram(k): v for k, v in terms.items()}
 
         left, right = max(cups)  # the topmost cup block
         s1, a1 = right - left - 1, left
@@ -391,59 +380,6 @@ class _Engine:
         ):
             _acc(out, self.push_letters(pre + window + post, rest_nf), coeff)
         return out
-
-    # -- generalized cap over a cupless diagram ------------------------------
-
-    def _push_capj(self, x: int, t: int, d: BrauerDiagram) -> dict:
-        """Push a cap whose right strand crosses over t middle strands.
-
-        Letters, bottom to top: crossings x+t .. x+1, then the cap at x.
-        d must have no cups; the cap eats through the permutation part one
-        reduced-word letter at a time.
-        """
-        return self._memo((("capj", t), x, d), self._push_capj_cases, x, t, d)
-
-    def _push_capj_cases(self, x: int, t: int, d: BrauerDiagram) -> dict:
-        p = self.p
-        word = permutation_canonical_word(through_perm(d))
-        if not word:
-            return self._attach_capj_nf(d, x, t)
-        j = word[0]
-        _, dt = compose_oracle(elem_cross(d.n, j), d)
-
-        if j + 1 < x:
-            return self.push_nf(CROSS, j, self._push_capj(x, t, dt))
-        if j > x + t + 1:
-            return self.push_nf(CROSS, j - 2, self._push_capj(x, t, dt))
-        if j == x + t + 1:
-            # the crossing extends the cascade
-            return self._push_capj(x, t + 1, dt)
-        if j == x and t == 0:
-            return _acc({}, self._push_capj(x, 0, dt), p.lam_p)
-        if j == x - 1:
-            # upside-down sliding against the cap's straight left strand
-            straight = self._push_capj(x - 1, 0, dt)
-            shifted = [(CROSS, x + k - 2) for k in range(t, 0, -1)]
-            out = _acc({}, self.push_letters(shifted, straight), p.d_p)
-            _acc(out, self._push_capj(x - 1, t + 1, dt), self.ep_poly)
-            return _acc(out, self._push_capj(x, t, dt), p.f_p)
-        if j == x:
-            # t >= 1: upside-down pulling at the cascade's bottom crossing
-            straight = self._push_capj(x, 0, dt)
-            shifted = [(CROSS, x + k - 2) for k in range(t, 1, -1)]
-            out = _acc({}, self.push_letters(shifted, straight), p.D_p)
-            _acc(out, self._push_capj(x, t, dt), p.E_p)
-            return _acc(out, self._push_capj(x + 1, t - 1, dt), p.F_p)
-        if j == x + t:
-            # t >= 1: the crossing doubles the cascade's bottom letter
-            out = _acc({}, self._push_capj(x, t - 1, dt), p.a)
-            _acc(out, self._push_capj(x, t, dt), p.b)
-            tail = self.push_nf(CAP, x + t, {dt: lp_int(1)})
-            tail = self.push_nf(CUP, x + t, tail)
-            rest_letters = [(CROSS, x + k) for k in range(t - 1, 0, -1)] + [(CAP, x)]
-            return _acc(out, self.push_letters(rest_letters, tail), p.c)
-        # x < j < x + t: the crossing swaps two middle strands under the arc
-        return self.push_nf(CROSS, j - 1, self._push_capj(x, t, dt))
 
 
 # ---------------------------------------------------------------------------

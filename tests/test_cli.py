@@ -73,23 +73,19 @@ def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path):
         assert code == 2, argv
         assert err.startswith("parse error:") and err.count("\n") == 1, (argv, err)
     # epsilon is the JSON integer 1 or -1; int() once read 1.5 and true as 1
-    # and -1.9 as -1
-    data = preset("bwm").to_json()
-    for epsilon in (1.5, True, -1.9, 1.0, "1", 0, 2, None):
-        data["epsilon"] = epsilon
+    # and -1.9 as -1.  A unit is one of the texts 1, -1, i, -i; any other
+    # value once exited 4 as a parameter error
+    bad = [("epsilon", v) for v in (1.5, True, -1.9, 1.0, "1", 0, 2, None)]
+    bad += [("e", 5), ("e", "2"), ("e_prime", None)]
+    for field, value in bad:
+        data = preset("bwm").to_json()
+        data[field] = value
         path.write_text(json.dumps(data))
         code = main(["normalize", "--params", str(path), "s(1)@2"])
         err = capsys.readouterr().err
-        assert code == 2, epsilon
-        assert err.startswith("parse error: params file:"), (epsilon, err)
-        assert err.count("\n") == 1, (epsilon, err)
-    # a unit that is not text is a bad parameter value
-    data = preset("bwm").to_json()
-    data["e"] = 5
-    path.write_text(json.dumps(data))
-    code = main(["normalize", "--params", str(path), "s(1)@2"])
-    assert code == 4
-    assert capsys.readouterr().err.startswith("parameter error:")
+        assert code == 2, (field, value)
+        assert err.startswith("parse error: params file:"), (field, value, err)
+        assert err.count("\n") == 1, (field, value, err)
 
 
 def test_negative_counts_exit_2(capsys):

@@ -210,8 +210,9 @@ def test_cup_block_lands_literally_iff_no_cup_starts_at_or_right_of_it():
 
 
 def test_cap_block_lands_literally_iff_every_cap_starts_right_of_its_foot():
-    # the engine's closed-form test for a cap whose right strand crosses over
-    # t middle strands, stacked on a cupless d with identity permutation part
+    # a closed form of literal landing for a cap whose right strand crosses
+    # over t middle strands, stacked on a cupless d with identity permutation
+    # part; the engine compares standard words instead
     for d in _small_diagrams(10):
         if d.cup_pairs() or through_perm(d) != tuple(range(d.n)):
             continue

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -29,7 +31,7 @@ from brauercalc.rewrite import (
     push_generator,
     under_cross,
 )
-from brauercalc.term import GenWord, Letter, cap, cross, cup, word
+from brauercalc.term import CAP, GenWord, Letter, cap, cross, cup, word
 
 
 BRAUER = preset("brauer")
@@ -239,6 +241,31 @@ def test_local_confluence_detects_corruption():
     assert fails
     gw, diff = fails[0]
     assert not diff.is_zero()
+
+
+def test_caps_pushed_on_cupless_diagrams_are_pinned():
+    # every cap at every position on every cupless diagram with m+n <= 8
+    # (1,848 pushes), under each preset and a record that breaks confluence;
+    # one by one, these values are checked nowhere else
+    records = [preset(name) for name in PRESETS]
+    records.append(dataclasses.replace(BWM, a=BWM.a + lp_int(1)))
+    lines = []
+    for p in records:
+        eng = rewrite._engine_for(p)
+        for total in range(2, 9, 2):
+            for m in range(total + 1):
+                for d in enumerate_diagrams(m, total - m):
+                    if d.cup_pairs():
+                        continue
+                    for r in range(1, d.n):
+                        terms = eng.push(CAP, r, d)
+                        nf = NormalForm(d.m, d.n - 2, dict(terms), eng.fp)
+                        lines.append(json.dumps([eng.fp, d.pairs(), r, nf.to_json()]))
+    assert len(lines) == 1848
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+    assert digest == (
+        "99d8ff6ee81222d27b565dfb31d41e6393eb83ec527fc7e43ddbe4b0b8d29437"
+    )
 
 
 # ---------------------------------------------------------------------------
