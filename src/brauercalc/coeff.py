@@ -2,11 +2,14 @@
 Exact coefficient arithmetic: Gaussian rationals and multivariate Laurent
 polynomials over them.
 
-Coefficients are `Fraction` pairs (real and imaginary part), so every
-computation in the package is exact.  Laurent polynomials are stored sparsely
-as a map from monomials to Gaussian rationals; a monomial is a sorted tuple of
-`(name, exponent)` pairs with nonzero exponents.  A variable is its name, so
-every text form orders variables by name, whatever the process did before.
+Coefficients are Gaussian rationals whose real and imaginary parts are each
+an `int` when whole and a `Fraction` only when a real denominator exists.  The
+two compare, hash and print alike, so every computation in the package is
+exact and no equality, hash or text form depends on which one a part is.
+Laurent polynomials are stored sparsely as a map from monomials to Gaussian
+rationals; a monomial is a sorted tuple of `(name, exponent)` pairs with
+nonzero exponents.  A variable is its name, so every text form orders
+variables by name, whatever the process did before.
 
 >>> p = lp_parse("q - q^-1")
 >>> print(lp_str(p * lp_parse("q + q^-1")))
@@ -63,35 +66,42 @@ def _power(base, k: int, one):
 # Gaussian rationals
 
 
+def _q(x):
+    """x as an `int` when it is whole: products and sums of ints never reach
+    `Fraction` arithmetic, which dominates the cost otherwise."""
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class GaussRational:
-    """A number a + b*i with rational a, b."""
+    """A number a + b*i with rational a, b; each part is an `int` when whole,
+    else a `Fraction`."""
 
-    re: Fraction
-    im: Fraction
+    re: int | Fraction
+    im: int | Fraction
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + other.re, self.im + other.im)
+        return GaussRational(_q(self.re + other.re), _q(self.im + other.im))
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re - other.re, self.im - other.im)
+        return GaussRational(_q(self.re - other.re), _q(self.im - other.im))
 
     def __neg__(self) -> "GaussRational":
         return GaussRational(-self.re, -self.im)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
         return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            _q(self.re * other.re - self.im * other.im),
+            _q(self.re * other.im + self.im * other.re),
         )
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
-        n = other.re * other.re + other.im * other.im
+        n = Fraction(other.re * other.re + other.im * other.im)
         if n == 0:
             raise DivisionByZero("division by zero Gaussian rational")
         return GaussRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+            _q((self.re * other.re + self.im * other.im) / n),
+            _q((self.im * other.re - self.re * other.im) / n),
         )
 
     def __pow__(self, k: int) -> "GaussRational":
@@ -119,7 +129,7 @@ class GaussRational:
 
 def gr(re, im=0) -> GaussRational:
     """Build a Gaussian rational from ints/Fractions."""
-    return GaussRational(Fraction(re), Fraction(im))
+    return GaussRational(_q(Fraction(re)), _q(Fraction(im)))
 
 
 GR_ZERO = gr(0)
@@ -223,6 +233,10 @@ class LaurentPoly:
         return LaurentPoly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if other is _LP_ONE:
+            return self
+        if self is _LP_ONE:
+            return other
         d: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -481,7 +495,7 @@ class _Parser:
     def parse_atom(self) -> LaurentPoly:
         k, v = self.take()
         if k == "num":
-            return LaurentPoly.const(GaussRational(v, Fraction(0)))
+            return LaurentPoly.const(GaussRational(_q(v), 0))
         if k == "name":
             if v == "i":
                 return LaurentPoly.const(GR_I)
@@ -544,5 +558,5 @@ def lp_var(name: str) -> LaurentPoly:
 
 
 def lp_int(n: int) -> LaurentPoly:
-    return LaurentPoly.from_int(n)
+    return _LP_ONE if n == 1 else LaurentPoly.from_int(n)
 

@@ -155,6 +155,11 @@ def _acc(acc: dict, terms: dict, coeff: LaurentPoly) -> dict:
     return acc
 
 
+def _negated(terms: dict) -> dict:
+    """-terms, without a product by -1."""
+    return {d: -c for d, c in terms.items()}
+
+
 # ---------------------------------------------------------------------------
 # The engine
 
@@ -341,10 +346,10 @@ class _Engine:
 
         if r + 1 < left:
             out = self._stack_block_nf(self.push(CAP, r, rest), s1, a1 - 2)
-            return _acc({}, out, lp_int(self.sign(1)))
+            return out if self.eps == 1 else _negated(out)
         if r > right:
             out = self._stack_block_nf(self.push(CAP, r - 2, rest), s1, a1)
-            return _acc({}, out, lp_int(self.sign(1)))
+            return out if self.eps == 1 else _negated(out)
         if r == a1 - 1:
             # cap joins a free strand to the block's left leg: straightening
             letters = [(CROSS, a1 - 1 + j) for j in range(s1)]
@@ -639,7 +644,7 @@ def check_local_confluence(
                 new_letters = letters[:h] + repl + letters[h + span :]
                 _acc(rhs, word_nf(domain, new_letters), coeff)
             if rhs != lhs:
-                diff = _acc(dict(lhs), rhs, lp_int(-1))
+                diff = _acc(dict(lhs), _negated(rhs), lp_int(1))
                 gw = GenWord(domain, tuple(Letter(k, pos) for k, pos in letters))
                 failures.append(
                     (gw, NormalForm(domain, gw.codomain, diff, eng.fp))

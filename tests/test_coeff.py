@@ -30,6 +30,28 @@ def test_gauss_rational_basics():
     assert str(gr(Fraction(3, 2))) == "3/2"
 
 
+def test_products_by_one_are_free():
+    p = lp_parse("q - 2*v^-1")
+    assert lp_int(1) is LaurentPoly.one()
+    assert p * LaurentPoly.one() is p
+    assert LaurentPoly.one() * p is p
+
+
+def test_whole_parts_are_ints():
+    assert type((gr(Fraction(1, 2)) * gr(2)).re) is int
+    assert type(lp_parse("4/2").terms[()].re) is int
+    # a denominator that division introduces and then cancels leaves an int
+    quot = lp_exact_div(lp_parse("q + 1"), lp_parse("1/2*q + 1/2"))
+    assert quot == lp_int(2) and type(quot.terms[()].re) is int
+    inv = lp_parse("1/2*i*q").unit_inverse()
+    assert inv == lp_parse("-2*i*q^-1") and type(inv.terms[(("q", -1),)].im) is int
+    # an int part and a whole Fraction are the same number in every form
+    assert gr(Fraction(4, 2)) == gr(2)
+    assert hash(gr(Fraction(4, 2))) == hash(gr(2))
+    assert str(gr(Fraction(4, 2))) == str(gr(2)) == "2"
+    assert lp_str(lp_parse("3/2*q - 1/2*i*v")) == "3/2*q - 1/2*i*v"
+
+
 def test_mul_difference_of_squares():
     q = lp_var("q")
     p = (q - q**-1) * (q + q**-1)
@@ -116,10 +138,13 @@ def test_tangle_loop_value_oracle():
     assert lhs == rhs
 
 
-fraction_st = st.builds(
-    Fraction, st.integers(-50, 50), st.integers(1, 20)
+# about half of the parts are whole, so products meet int*int, int*Fraction
+# and Fraction*Fraction alike
+part_st = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(2, 20)),
 )
-coeff_st = st.builds(gr, fraction_st, fraction_st)
+coeff_st = st.builds(gr, part_st, part_st)
 
 
 @st.composite
