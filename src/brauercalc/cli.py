@@ -74,7 +74,7 @@ def load_params(args):
                 return params_from_json(json.load(fh))
             except KeyError as ex:
                 raise ExprParseError("params file: missing field %s" % ex)
-            except (TypeError, ValueError) as ex:  # includes bad JSON
+            except (TypeError, ValueError, RecursionError) as ex:  # includes bad JSON
                 raise ExprParseError("params file: %s" % ex)
     name = getattr(args, "preset", None) or "brauer"
     try:

@@ -510,7 +510,10 @@ class _Parser:
 def lp_parse(text: str) -> LaurentPoly:
     """Parse the text form of a Laurent polynomial."""
     p = _Parser(_tokenize(text))
-    out = p.parse_expr()
+    try:
+        out = p.parse_expr()
+    except RecursionError:
+        raise ParseError("polynomial nested too deeply") from None
     if p.pos != len(p.toks):
         raise ParseError("trailing input after polynomial")
     return out

@@ -12,12 +12,12 @@ Every diagram has a standard factorization
 where an elementary cup block of spread s at column a creates a new pair
 whose left leg sits at column a and whose right leg crosses over the s
 strands in between, and cap blocks are the mirror image.  The permutation is
-written as a fixed canonical reduced word (descending runs).
+written as a fixed canonical reduced word: the descending runs read off its
+Lehmer code.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -144,77 +144,45 @@ def compose_oracle(top: BrauerDiagram, bot: BrauerDiagram):
     """Stack `top` onto `bot`; return (loop count, composed diagram).
 
     Requires top.m == bot.n.  This is an independent path-following
-    implementation used as the oracle for the rewriting engine.
+    implementation used as the oracle for the rewriting engine.  A strand
+    from the outer boundary that enters the k middle dots alternates between
+    `bot.match` and `top.match` until it leaves; its end is written straight
+    into the composed matching.  Every middle dot no strand visits lies on a
+    closed loop, and each such cycle is counted once.
     """
     if top.m != bot.n:
         raise DiagramError(
             "cannot compose: top has %d inputs, bottom has %d outputs" % (top.m, bot.n)
         )
-    m, k, n = bot.m, bot.n, top.n
-
-    # Node keys: ('B', i) bottom boundary, ('T', j) top boundary, and middle
-    # nodes ('M', w).  Each middle node has two edges (one through each
-    # diagram); boundary nodes have one.
-    def step(node, via):
-        """Follow the strand through one diagram.  `via` is 'bot' or 'top'."""
-        if via == "bot":
-            kind, idx = node
-            dot = idx if kind == "B" else m + idx  # ('M', w) enters bot's top
-            out = bot.match[dot]
-            return ("B", out) if out < m else ("M", out - m)
-        kind, idx = node
-        dot = idx if kind == "M" else top.m + idx
-        out = top.match[dot]
-        return ("M", out) if out < top.m else ("T", out - top.m)
-
-    visited_mid = set()
-
-    def walk(start, via):
-        node, nxt_via = start, via
-        while True:
-            node = step(node, nxt_via)
-            if node[0] == "M":
-                visited_mid.add(node[1])
-                nxt_via = "top" if nxt_via == "bot" else "bot"
-            else:
-                return node
-
-    pairs = []
-    done = set()
-    for i in range(m):
-        if ("B", i) in done:
+    m, k = bot.m, bot.n
+    lo, hi = bot.match, top.match
+    match = [-1] * (m + top.n)
+    seen = [False] * k  # middle dots visited
+    for i in range(m + top.n):
+        if match[i] >= 0:
             continue
-        end = walk(("B", i), "bot")
-        done.add(("B", i))
-        done.add(end)
-        a = i
-        b = end[1] if end[0] == "B" else m + end[1]
-        pairs.append((a, b))
-    for j in range(n):
-        if ("T", j) in done:
-            continue
-        end = walk(("T", j), "top")
-        done.add(("T", j))
-        done.add(end)
-        assert end[0] == "T"
-        pairs.append((m + j, m + end[1]))
-
+        # j is the other end of the strand's current piece: a dot of bot
+        # while in_bot, a dot of top otherwise
+        in_bot = i < m
+        j = lo[i] if in_bot else hi[i - m + k]
+        while (j >= m) if in_bot else (j < k):
+            w = j - m if in_bot else j
+            seen[w] = True
+            in_bot = not in_bot
+            j = lo[m + w] if in_bot else hi[w]
+        end = j if in_bot else j - k + m
+        match[i], match[end] = end, i
     loops = 0
     for w in range(k):
-        if w in visited_mid:
+        if seen[w]:
             continue
         loops += 1
-        visited_mid.add(w)
-        node, via = ("M", w), "top"
-        while True:
-            node = step(node, via)
-            assert node[0] == "M"
-            via = "top" if via == "bot" else "bot"
-            if node[1] == w and via == "top":
-                break
-            visited_mid.add(node[1])
-
-    return loops, from_pairs(m, n, pairs)
+        while not seen[w]:
+            seen[w] = True
+            v = hi[w]  # across top to the next middle dot
+            seen[v] = True
+            w = lo[m + v] - m  # and back across bot
+    return loops, BrauerDiagram(m, top.n, tuple(match))
 
 
 def tensor_oracle(left: BrauerDiagram, right: BrauerDiagram) -> BrauerDiagram:
@@ -348,15 +316,9 @@ def cap_blocks(d: BrauerDiagram):
 
 def through_perm(d: BrauerDiagram):
     """0-based one-line permutation of the through-strands."""
-    through = d.through_pairs()
-    bots = sorted(b for b, _ in through)
-    tops = sorted(t for _, t in through)
-    bot_rank = {b: i for i, b in enumerate(bots)}
-    top_rank = {t: i for i, t in enumerate(tops)}
-    p = [0] * len(through)
-    for b, t in through:
-        p[bot_rank[b]] = top_rank[t]
-    return tuple(p)
+    tops = [t for _, t in d.through_pairs()]  # sorted by bottom already
+    rank = {t: i for i, t in enumerate(sorted(tops))}
+    return tuple(rank[t] for t in tops)
 
 
 def count_inversions(p) -> int:
@@ -367,27 +329,18 @@ def permutation_canonical_word(p):
     """Canonical reduced word for a 0-based one-line permutation.
 
     Returns 1-based positions [i1, i2, ...] with p = s_{i1} ∘ s_{i2} ∘ ...
-    (leftmost factor outermost).  The word is a concatenation of descending
-    runs s_{m_k} s_{m_k-1} ... s_k, is reduced, and never contains the
-    consecutive factor s_i s_{i+1} s_i.
+    (leftmost factor outermost).  The word is read off the Lehmer code: run
+    k is the descending run s_{k-1+c} ... s_k, where c counts the entries
+    after p[k-1] that are smaller than it (no run when c = 0).  The word is
+    reduced and never contains the consecutive factor s_i s_{i+1} s_i.
     """
-    q = [x + 1 for x in p]
-    r = len(q)
     word = []
-    for k in range(1, r):
-        mk = q[k - 1] - 1
-        word.extend(range(mk, k - 1, -1))
-
-        def binv(v, mk=mk, k=k):
-            if v == mk + 1:
-                return k
-            if k <= v <= mk:
-                return v + 1
-            return v
-
-        q = [binv(v) for v in q]
-    assert all(q[j] == j + 1 for j in range(r)), "canonical word failed to sort"
-    assert len(word) == count_inversions(p), "canonical word is not reduced"
+    for k in range(1, len(p)):
+        c = sum(1 for x in p[k:] if x < p[k - 1])
+        word.extend(range(k - 1 + c, k - 1, -1))
+    # the word has as many letters as p has inversions, so spelling p makes
+    # it reduced
+    assert apply_word(word, len(p)) == tuple(p), "canonical word is not reduced"
     for idx in range(len(word) - 2):
         a, b, c = word[idx : idx + 3]
         assert not (a == c and b == a + 1), "forbidden braid factor in canonical word"

@@ -36,13 +36,12 @@ on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coeff import LaurentPoly, lp_exact_div, lp_int, lp_parse, lp_str
 from .diagram import (
     BrauerDiagram,
     compose_oracle,
-    count_inversions,
     elem_cap_block,
     elem_cross,
     elem_cup_block,
@@ -50,7 +49,6 @@ from .diagram import (
     identity_diagram,
     remove_top_pair,
     standard_letters,
-    through_perm,
     vflip_diagram,
 )
 from .params import CategoryParams, check_consistency, vflip_params
@@ -112,7 +110,7 @@ class NormalForm:
         return NormalForm(self.m, self.n, out, self.params_fingerprint)
 
     def __sub__(self, other: "NormalForm") -> "NormalForm":
-        return self + other.scale(lp_int(-1))
+        return self + replace(other, terms=_negated(other.terms))
 
     def to_json(self) -> dict:
         items = sorted((d.pairs(), lp_str(c)) for d, c in self.terms.items())
@@ -278,7 +276,9 @@ class _Engine:
         cups = d.cup_pairs()
         if not cups:
             _, base = compose_oracle(elem_cross(d.n, r), d)
-            if count_inversions(through_perm(base)) > count_inversions(through_perm(d)):
+            # the crossing lengthens the permutation iff the strands it
+            # swaps come from bottom dots in order
+            if d.match[d.m + r - 1] < d.match[d.m + r]:
                 return {base: lp_int(1)}
             # the new crossing doubles the top letter of the permutation
             return self._twist({base: lp_int(1)}, d, r)
@@ -442,29 +442,28 @@ def push_generator(g: Letter, d: BrauerDiagram, p: CategoryParams) -> NormalForm
     return NormalForm(d.m, n_out, dict(terms), eng.fp)
 
 
-def _check_pair(x: NormalForm, y: NormalForm, p: CategoryParams):
-    fp = _fingerprint(p)
-    if x.params_fingerprint != fp or y.params_fingerprint != fp:
+def _check_pair(x: NormalForm, y: NormalForm, p: CategoryParams) -> _Engine:
+    """The engine of p for one public call on x and y, both built under p."""
+    eng = _engine_for(p)
+    if x.params_fingerprint != eng.fp or y.params_fingerprint != eng.fp:
         raise ParamsMismatch("normal forms built with different parameters")
-    return fp
+    return eng
 
 
 def nf_compose(x: NormalForm, y: NormalForm, p: CategoryParams) -> NormalForm:
     """Stack x on top of y."""
-    fp = _check_pair(x, y, p)
+    eng = _check_pair(x, y, p)
     if x.m != y.n:
         raise WidthMismatch("compose: %d on top of %d" % (x.m, y.n))
-    eng = _engine_for(p)
     out = {}
     for dx, cx in x.terms.items():
         _acc(out, eng.push_letters(standard_letters(dx), y.terms), cx)
-    return NormalForm(y.m, x.n, out, fp)
+    return NormalForm(y.m, x.n, out, eng.fp)
 
 
 def nf_tensor(x: NormalForm, y: NormalForm, p: CategoryParams) -> NormalForm:
     """Place x to the left of y: (x ⊗ id) ∘ (id ⊗ y)."""
-    fp = _check_pair(x, y, p)
-    eng = _engine_for(p)
+    eng = _check_pair(x, y, p)
     out = {}
     for dx, cx in x.terms.items():
         x_letters = standard_letters(dx)
@@ -475,7 +474,7 @@ def nf_tensor(x: NormalForm, y: NormalForm, p: CategoryParams) -> NormalForm:
                 letters, {identity_diagram(dx.m + dy.m): lp_int(1)}
             )
             _acc(out, terms, cx * cy)
-    return NormalForm(x.m + y.m, x.n + y.n, out, fp)
+    return NormalForm(x.m + y.m, x.n + y.n, out, eng.fp)
 
 
 def under_cross(p: CategoryParams, check: bool = True) -> NormalForm:

@@ -340,7 +340,10 @@ def parse_expr(text: str):
     except ParseError as ex:
         raise ExprParseError(str(ex)) from None
     parser = _ExprParser(toks)
-    out = parser.parse_sum()
+    try:
+        out = parser.parse_sum()
+    except RecursionError:
+        raise ExprParseError("expression nested too deeply") from None
     if parser.pos != len(parser.toks):
         raise ExprParseError("trailing input: %r" % (parser.toks[parser.pos :],))
     out.shape()

@@ -61,12 +61,21 @@ def test_bad_inputs_exit_2_with_one_line(capsys, tmp_path):
     # each of these once escaped as a traceback
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"epsilon": 1}))
+    # nesting deeper than the parsers' recursion once escaped as RecursionError
+    deep_lam = tmp_path / "deep_lam.json"
+    deep_lam.write_text(json.dumps({**preset("bwm").to_json(), "lam": "-" * 1200 + "v"}))
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text("[" * 100000)
     for argv in (
         ["map", "-p", "bwm", "--functor", "rescale", "--alpha", "1+x", "s(1)@2"],
         ["normalize", "-p", "bwm", "2/0*s(1)@2"],
         ["normalize", "-p", "bwm", "(q+1)^-1*id@2"],
         ["normalize", "--params", str(path), "s(1)@2"],
         ["normalize", "--params", str(tmp_path), "s(1)@2"],
+        ["normalize", "-p", "bwm", "(" * 250 + "id@2" + ")" * 250],
+        ["map", "-p", "bwm", "--functor", "rescale", "--alpha=" + "-" * 1200 + "1", "s(1)@2"],
+        ["normalize", "--params", str(deep_lam), "s(1)@2"],
+        ["normalize", "--params", str(deep_json), "s(1)@2"],
     ):
         code = main(argv)
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -82,6 +83,23 @@ def test_compose_associative_exhaustive():
         assert l1 + l1b == l2 + l2b
 
 
+def test_compose_is_pinned():
+    # loop count and matching of every composable pair whose two diagrams
+    # have at most 8 dots each (127,485 pairs); the digest was taken from
+    # the walk over tuple node keys that the index walk replaced
+    h = hashlib.sha256()
+    for k in range(9):
+        bots = [d for m in range(k % 2, 9 - k, 2) for d in enumerate_diagrams(m, k)]
+        tops = [d for n in range(k % 2, 9 - k, 2) for d in enumerate_diagrams(k, n)]
+        for y in bots:
+            for x in tops:
+                loops, z = compose_oracle(x, y)
+                h.update(("%d %r\n" % (loops, z.match)).encode())
+    assert h.hexdigest() == (
+        "f9dc5b92d0eb879d0260f0e86837f212fd07daaee4afa9b9fdf7d4c0ef270f9f"
+    )
+
+
 def test_tensor_shapes():
     x = elem_cup(0, 1)  # (0, 2)
     y = elem_cap(2, 1)  # (4, 2)
@@ -131,7 +149,7 @@ def test_canonical_word_longest_s3():
     assert list(standard_word(perm_diagram((2, 1, 0))).perm_word) == [2, 1, 2]
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7])
 def test_canonical_word_properties(r):
     from brauercalc.diagram import permutation_canonical_word
 
@@ -207,6 +225,18 @@ def test_cup_block_lands_literally_iff_no_cup_starts_at_or_right_of_it():
                 block = [("cup", a)] + [("cross", a + j) for j in range(1, s + 1)]
                 literal = standard_letters(d) + block == standard_letters(d2)
                 assert literal == all(i < a for i, _ in d.cup_pairs()), (d, s, a)
+
+
+def test_crossing_lengthens_cupless_diagram_iff_its_strands_start_in_order():
+    # the engine's closed-form test for a crossing stacked on a cupless d
+    for d in _small_diagrams(10):
+        if d.cup_pairs():
+            continue
+        for r in range(1, d.n):
+            loops, d2 = compose_oracle(elem_cross(d.n, r), d)
+            assert loops == 0
+            longer = count_inversions(through_perm(d2)) > count_inversions(through_perm(d))
+            assert longer == (d.match[d.m + r - 1] < d.match[d.m + r]), (d, r)
 
 
 def test_cap_block_lands_literally_iff_every_cap_starts_right_of_its_foot():
