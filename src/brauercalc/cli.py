@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from .algebra import AlgebraError, check_presentation, mult_table
@@ -48,7 +49,6 @@ from .term import (
     ExprParseError,
     TermError,
     WidthError,
-    flatten,
     parse_expr,
 )
 
@@ -85,9 +85,8 @@ def load_params(args):
 
 def eval_expr(text, p):
     """Parse a DSL expression and return its normal form."""
-    expr = parse_expr(text)
     total = None
-    for coeff, w in flatten(expr):
+    for coeff, w in parse_expr(text):
         nf = normalize(w, p).scale(coeff)
         total = nf if total is None else total + nf
     return total
@@ -152,7 +151,9 @@ def _tikz_diagram(m, n, pairs, coeff=None, indent="  "):
 def nf_tikz(nf: NormalForm) -> str:
     data = nf.to_json()
     body = [
-        _tikz_diagram(nf.m, nf.n, term["pairs"], coeff=term["coeff"])
+        # LaTeX raises one character unless the exponent is braced
+        _tikz_diagram(nf.m, nf.n, term["pairs"],
+                      coeff=re.sub(r"\^(-?\d+)", r"^{\1}", term["coeff"]))
         for term in data["terms"]
     ] or [_tikz_diagram(nf.m, nf.n, [], coeff="0")]
     return "\n".join(
@@ -401,8 +402,7 @@ def cmd_map(args):
 
 
 def cmd_render(args):
-    expr = parse_expr(args.expr)
-    terms = flatten(expr)
+    terms = parse_expr(args.expr)
     if args.format == "json":
         data = [
             {

@@ -355,42 +355,17 @@ def apply_word(word, r):
     return tuple(p)
 
 
-@dataclass(frozen=True)
-class StandardWord:
-    """Standard factorization data of a diagram.
-
-    `caps` and `cups` list (spread, column) per elementary block, topmost
-    first.  `perm_word` is the canonical reduced word of the through-strand
-    permutation, outermost factor first.
-    """
-
-    m: int
-    n: int
-    caps: tuple
-    perm_word: tuple
-    cups: tuple
-
-
-def standard_word(d: BrauerDiagram) -> StandardWord:
-    return StandardWord(
-        m=d.m,
-        n=d.n,
-        caps=tuple(cap_blocks(d)),
-        perm_word=tuple(permutation_canonical_word(through_perm(d))),
-        cups=tuple(cup_blocks(d)),
-    )
-
-
 def standard_letters(d: BrauerDiagram):
     """Bottom-to-top generator letters ('cap'|'cross'|'cup', column) of the
-    standard word of `d`."""
-    sw = standard_word(d)
+    standard word of `d`: its cap blocks, the canonical word of its
+    through-strand permutation, then its cup blocks."""
     letters = []
-    for s, a in reversed(sw.caps):
+    for s, a in reversed(cap_blocks(d)):
         letters.extend(("cross", a + j) for j in range(s, 0, -1))
         letters.append(("cap", a))
-    letters.extend(("cross", i) for i in reversed(sw.perm_word))
-    for s, a in reversed(sw.cups):
+    perm_word = permutation_canonical_word(through_perm(d))
+    letters.extend(("cross", i) for i in reversed(perm_word))
+    for s, a in reversed(cup_blocks(d)):
         letters.append(("cup", a))
         letters.extend(("cross", a + j) for j in range(1, s + 1))
     return letters

@@ -101,14 +101,6 @@ def _count_letters(d) -> tuple:
     return caps, cups, crossings
 
 
-def _renormalized_image(nf: NormalForm, target: CategoryParams, mapper):
-    terms = {}
-    for d, c in nf.terms.items():
-        letters = tuple(Letter(k, r) for k, r in mapper(d))
-        _acc(terms, normalize(GenWord(d.m, letters), target).terms, c)
-    return NormalForm(nf.m, nf.n, terms, _fingerprint(target))
-
-
 def rescale(nf: NormalForm, spec: RescaleSpec, src: CategoryParams):
     """Multiply caps by alpha, cups by beta and crossings by gamma.
 
@@ -141,19 +133,18 @@ def vflip(nf: NormalForm, src: CategoryParams):
 def hflip(nf: NormalForm, src: CategoryParams):
     """Mirror the normal form left to right."""
     target = hflip_params(src)
-
-    def mapper(d):
-        mirrored = []
+    terms = {}
+    for d, c in nf.terms.items():
+        letters = []
         w = d.m
         for kind, pos in standard_letters(d):
             if kind == CUP:
-                mirrored.append((CUP, w + 2 - pos))
+                letters.append(Letter(CUP, w + 2 - pos))
                 w += 2
             elif kind == CAP:
-                mirrored.append((CAP, w - pos))
+                letters.append(Letter(CAP, w - pos))
                 w -= 2
             else:
-                mirrored.append((CROSS, w - pos))
-        return mirrored
-
-    return _renormalized_image(nf, target, mapper), target
+                letters.append(Letter(CROSS, w - pos))
+        _acc(terms, normalize(GenWord(d.m, tuple(letters)), target).terms, c)
+    return NormalForm(nf.m, nf.n, terms, _fingerprint(target)), target

@@ -114,6 +114,12 @@ class CategoryParams:
             raise ParamError("epsilon must be +1 or -1")
         if not _is_fourth_root(self.e) or not _is_fourth_root(self.e_prime):
             raise ParamError("e and e_prime must be fourth roots of unity")
+        # every public engine call looks the record up by hash
+        fields = tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def fingerprint(self) -> str:
         payload = json.dumps(self.to_json(), sort_keys=True)

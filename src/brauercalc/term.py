@@ -22,7 +22,12 @@ The expression DSL:
     gen  := 's(INT)@INT' | 'a(INT)@INT' | 'u(INT)@INT' | 'id@INT' | '(' expr ')'
 
 where `s` is a crossing, `a` a cap, `u` a cup, each annotated with its
-domain width after `@`.
+domain width after `@`.  `parse_expr` reads an expression straight into its
+terms, a list of (coefficient, GenWord) pairs of one shape:
+
+    >>> [(lp_str(c), w.domain, [(l.kind, l.pos) for l in w.letters])
+    ...  for c, w in parse_expr("q * s(1)@2 - id@2")]
+    [('q', 2, [('cross', 1)]), ('-1', 2, [])]
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .coeff import _TOKEN_RE, LaurentPoly, ParseError, _read_token, lp_int, lp_str
+from .coeff import _TOKEN_RE, ParseError, _read_token, lp_int, lp_str
 from .coeff import _Parser as _PolyParser
 
 
@@ -126,109 +131,10 @@ def cup(pos: int) -> Letter:
 
 
 # ---------------------------------------------------------------------------
-# Expression AST
-
-
-@dataclass(frozen=True)
-class WordExpr:
-    word: GenWord
-
-    def shape(self):
-        return (self.word.domain, self.word.codomain)
-
-
-@dataclass(frozen=True)
-class Scale:
-    coeff: LaurentPoly
-    inner: object
-
-    def shape(self):
-        return self.inner.shape()
-
-
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple
-
-    def shape(self):
-        shapes = {p.shape() for p in self.parts}
-        if len(shapes) != 1:
-            raise TermError("summands have different shapes: %s" % shapes)
-        return shapes.pop()
-
-
-@dataclass(frozen=True)
-class Compose:
-    """parts[0] on top of parts[1] on top of ..."""
-
-    parts: tuple
-
-    def shape(self):
-        shapes = [p.shape() for p in self.parts]
-        for upper, lower in zip(shapes, shapes[1:]):
-            if lower[1] != upper[0]:
-                raise TermError(
-                    "composition mismatch: %d on top of %d" % (upper[0], lower[1])
-                )
-        return (shapes[-1][0], shapes[0][1])
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """parts[0] leftmost."""
-
-    parts: tuple
-
-    def shape(self):
-        shapes = [p.shape() for p in self.parts]
-        return (sum(s[0] for s in shapes), sum(s[1] for s in shapes))
-
-
-def flatten(expr) -> list:
-    """Expand an expression into a list of (coefficient, GenWord) pairs.
-
-    Tensors are expanded by x ⊗ y = (x ⊗ id) ∘ (id ⊗ y): the right factor's
-    letters, shifted by the left factor's domain width, go to the bottom.
-    """
-    expr.shape()  # validate
-    if isinstance(expr, WordExpr):
-        return [(lp_int(1), expr.word)]
-    if isinstance(expr, Scale):
-        return [(expr.coeff * c, w) for c, w in flatten(expr.inner)]
-    if isinstance(expr, Sum):
-        out = []
-        for p in expr.parts:
-            out.extend(flatten(p))
-        return out
-    if isinstance(expr, Compose):
-        # bottom factor first; each next factor's letters go on top
-        return _expand(
-            expr.parts[::-1],
-            lambda w0, w1: GenWord(w0.domain, w0.letters + w1.letters),
-        )
-    if isinstance(expr, Tensor):
-        return _expand(
-            expr.parts,
-            lambda w0, w1: GenWord(
-                w0.domain + w1.domain, w1.shift(w0.domain).letters + w0.letters
-            ),
-        )
-    raise TermError("unknown expression node %r" % (expr,))
-
-
-def _expand(parts, join) -> list:
-    """Every product of one term of each part, words glued by `join`."""
-    out = flatten(parts[0])
-    for part in parts[1:]:
-        terms = flatten(part)
-        out = [(c0 * c1, join(w0, w1)) for c0, w0 in out for c1, w1 in terms]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # DSL parser
 
-_GEN_RE = re.compile(r"(?:(?P<g>[sau])\(\s*(?P<i>\d+)\s*\)|(?P<id>id))@(?P<w>\d+)")
+_GEN_RE = re.compile(r"(?:(?P<g>[sau])\(\s*(?P<i>\d+)\s*\)|id)@(?P<w>\d+)")
+_SYM_TO_KIND = {"s": CROSS, "a": CAP, "u": CUP}
 
 
 def _tokenize_expr(text: str):
@@ -243,10 +149,8 @@ def _tokenize_expr(text: str):
             continue
         m = _GEN_RE.match(text, pos)
         if m:
-            if m.group("id"):
-                toks.append(("gen", ("id", 0, int(m.group("w")))))
-            else:
-                toks.append(("gen", (m.group("g"), int(m.group("i")), int(m.group("w")))))
+            g, i, w = m.group("g") or "id", int(m.group("i") or 0), int(m.group("w"))
+            toks.append(("gen", (g, i, w)))
             pos = m.end()
             continue
         m = _TOKEN_RE.match(text, pos)
@@ -262,68 +166,78 @@ def _tokenize_expr(text: str):
     return toks
 
 
-def _gen_expr(g, i, w):
-    if g == "id":
-        return WordExpr(word(w, []))
-    if g == "s":
-        return WordExpr(word(w, [cross(i)]))
-    if g == "a":
-        return WordExpr(word(w, [cap(i)]))
-    return WordExpr(word(w, [cup(i)]))
+def _shape(terms):
+    w = terms[0][1]
+    return (w.domain, w.codomain)
 
 
 class _ExprParser(_PolyParser):
-    """The morphism grammar.  Coefficients are read by the inherited
-    Laurent-polynomial grammar of `coeff` on the same token stream."""
+    """The morphism grammar, each rule returning its (coefficient, GenWord)
+    terms.  Coefficients are read by the inherited Laurent-polynomial grammar
+    of `coeff` on the same token stream."""
 
     def parse_sum(self):
         parts = [self.parse_prod()]
-        signs = [1]
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             _, op = self.take()
-            parts.append(self.parse_prod())
-            signs.append(1 if op == "+" else -1)
-        terms = [
-            p if s == 1 else Scale(lp_int(-1), p) for p, s in zip(parts, signs)
-        ]
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms))
+            part = self.parse_prod()
+            parts.append(part if op == "+" else [(-c, w) for c, w in part])
+        shapes = {_shape(p) for p in parts}
+        if len(shapes) != 1:
+            raise TermError("summands have different shapes: %s" % shapes)
+        return [t for p in parts for t in p]
 
     def parse_prod(self):
         save = self.pos
         try:
             coeff = self.parse_term()
             if self.take() == ("op", "*"):
-                return Scale(coeff, self.parse_comp())
+                return [(coeff * c, w) for c, w in self.parse_comp()]
         except ParseError:
             pass  # not a coefficient
         self.pos = save
         return self.parse_comp()
 
     def parse_comp(self):
-        parts = [self.parse_tens()]
+        upper = self.parse_tens()
         while self.peek() == ("op", "."):
             self.take()
-            parts.append(self.parse_tens())
-        if len(parts) == 1:
-            return parts[0]
-        return Compose(tuple(parts))
+            lower = self.parse_tens()
+            if _shape(lower)[1] != _shape(upper)[0]:
+                raise TermError(
+                    "composition mismatch: %d on top of %d"
+                    % (_shape(upper)[0], _shape(lower)[1])
+                )
+            # the lower word's letters come first
+            upper = [
+                (c0 * c1, GenWord(w0.domain, w0.letters + w1.letters))
+                for c0, w0 in lower
+                for c1, w1 in upper
+            ]
+        return upper
 
     def parse_tens(self):
-        parts = [self.parse_gen()]
+        left = self.parse_gen()
         while self.peek() == ("op", "#"):
             self.take()
-            parts.append(self.parse_gen())
-        if len(parts) == 1:
-            return parts[0]
-        return Tensor(tuple(parts))
+            right = self.parse_gen()
+            # x # y = (x # id) . (id # y): the right factor's letters, shifted
+            # by the left factor's domain width, go to the bottom
+            left = [
+                (c0 * c1, GenWord(w0.domain + w1.domain,
+                                  w1.shift(w0.domain).letters + w0.letters))
+                for c0, w0 in left
+                for c1, w1 in right
+            ]
+        return left
 
     def parse_gen(self):
         k, v = self.peek()
         if k == "gen":
             self.take()
-            return _gen_expr(*v)
+            g, i, w = v
+            letters = () if g == "id" else (Letter(_SYM_TO_KIND[g], i),)
+            return [(lp_int(1), GenWord(w, letters))]
         if (k, v) == ("op", "("):
             self.take()
             out = self.parse_sum()
@@ -333,8 +247,9 @@ class _ExprParser(_PolyParser):
         raise ExprParseError("expected a generator or '('")
 
 
-def parse_expr(text: str):
-    """Parse the morphism DSL into an expression tree (shapes validated)."""
+def parse_expr(text: str) -> list:
+    """Parse the morphism DSL into its (coefficient, GenWord) terms, zero
+    coefficients kept, every term of one shape."""
     try:
         toks = _tokenize_expr(text)
     except ParseError as ex:
@@ -346,7 +261,6 @@ def parse_expr(text: str):
         raise ExprParseError("expression nested too deeply") from None
     if parser.pos != len(parser.toks):
         raise ExprParseError("trailing input: %r" % (parser.toks[parser.pos :],))
-    out.shape()
     return out
 
 
@@ -370,7 +284,7 @@ def word_to_dsl(w: GenWord) -> str:
 
 
 def scaled_words_to_dsl(terms) -> str:
-    """Render flatten() output back into the DSL."""
+    """Render parse_expr() terms back into the DSL."""
     if not terms:
         return "0"
     chunks = []

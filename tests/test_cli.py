@@ -344,6 +344,27 @@ GOLDEN = [
         "  \\node[anchor=west] at (2.5,1) {$1$};\n"
         + _TIKZ_TAIL,
     ),
+    (
+        ["normalize", "-p", "periplectic_q", "--format", "tikz", "s(1)@2 . s(1)@2"],
+        _TIKZ_HEAD
+        + "  \\fill (0,0) circle (2pt);\n"
+        "  \\fill (1,0) circle (2pt);\n"
+        "  \\fill (0,2) circle (2pt);\n"
+        "  \\fill (1,2) circle (2pt);\n"
+        "  \\draw (0,0) -- (0,2);\n"
+        "  \\draw (1,0) -- (1,2);\n"
+        "  \\node[anchor=west] at (2.5,1) {$1$};\n"
+        "\\end{tikzpicture}\n"
+        "\\begin{tikzpicture}[line cap=round]\n"
+        "  \\fill (0,0) circle (2pt);\n"
+        "  \\fill (1,0) circle (2pt);\n"
+        "  \\fill (0,2) circle (2pt);\n"
+        "  \\fill (1,2) circle (2pt);\n"
+        "  \\draw (0,0) -- (1,2);\n"
+        "  \\draw (1,0) -- (0,2);\n"
+        "  \\node[anchor=west] at (2.5,1) {$q - q^{-1}$};\n"
+        + _TIKZ_TAIL,
+    ),
     (["normalize", "-p", "bwm", "s(1)@2 - s(1)@2"], "0 : Hom(2, 2)\n"),
     (
         ["map", "-p", "periplectic_q", "--functor", "hflip", "s(1)@2 . u(1)@0"],
@@ -373,7 +394,7 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "argv, expected",
     GOLDEN,
-    ids=["tikz-word", "tikz-sum", "tikz-arcs", "zero", "map-hflip"],
+    ids=["tikz-word", "tikz-sum", "tikz-arcs", "tikz-exponent", "zero", "map-hflip"],
 )
 def test_golden_output(capsys, argv, expected):
     assert run(capsys, *argv) == (0, expected)

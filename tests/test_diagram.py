@@ -25,9 +25,9 @@ from brauercalc.diagram import (
     hflip_diagram,
     identity_diagram,
     perm_diagram,
+    permutation_canonical_word,
     remove_top_pair,
     standard_letters,
-    standard_word,
     tensor_oracle,
     through_perm,
     vflip_diagram,
@@ -146,13 +146,12 @@ def test_cup_peeling_worked_example():
 
 
 def test_canonical_word_longest_s3():
-    assert list(standard_word(perm_diagram((2, 1, 0))).perm_word) == [2, 1, 2]
+    d = perm_diagram((2, 1, 0))
+    assert permutation_canonical_word(through_perm(d)) == [2, 1, 2]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7])
 def test_canonical_word_properties(r):
-    from brauercalc.diagram import permutation_canonical_word
-
     for p in itertools.permutations(range(r)):
         w = permutation_canonical_word(p)
         assert apply_word(w, r) == p
@@ -184,16 +183,14 @@ def test_standard_word_round_trip(m, n):
     for d in enumerate_diagrams(m, n):
         letters = standard_letters(d)
         assert diagram_from_letters(m, letters) == d
-        sw = standard_word(d)
-        assert diagram_from_parts(m, list(sw.caps), through_perm(d), list(sw.cups)) == d
+        assert diagram_from_parts(m, cap_blocks(d), through_perm(d), cup_blocks(d)) == d
 
 
 def test_standard_word_shapes():
     d = elem_cup_block(3, 1, 2)
-    sw = standard_word(d)
-    assert sw.cups == ((1, 2),)
-    assert sw.caps == ()
-    assert list(sw.perm_word) == []
+    assert cup_blocks(d) == [(1, 2)]
+    assert cap_blocks(d) == []
+    assert permutation_canonical_word(through_perm(d)) == []
 
 
 def test_remove_top_pair():

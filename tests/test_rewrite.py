@@ -342,6 +342,17 @@ def test_normal_forms_survive_clearing_the_engine_registry():
         rewrite._ENGINES.clear()
 
 
+def test_engine_registry_is_keyed_by_record_value():
+    # the record's hash is computed once, when it is built: a changed copy
+    # gets a fresh hash and its own engine, an equal rebuild shares one
+    p = preset("bwm")
+    changed = dataclasses.replace(p, a=p.a + lp_int(1))
+    assert changed != p
+    assert rewrite._engine(changed) is not rewrite._engine(p)
+    assert rewrite._engine(preset("bwm")) is rewrite._engine(p)
+    assert hash(preset("bwm")) == hash(p)
+
+
 def test_normal_form_json_round_trip():
     nf = normalize(word(2, [cross(1), cross(1)]), BWM)
     data = nf.to_json()
