@@ -68,9 +68,9 @@ def gens_inverse(n: int, p: CategoryParams, check: bool = True):
     for i in range(1, n):
         nf = u
         if i > 1:
-            nf = nf_tensor(nf_from_diagram(identity_diagram(i - 1), p), nf, p)
+            nf = nf_tensor(nf_from_diagram(identity_diagram(i - 1), p), nf)
         if i + 1 < n:
-            nf = nf_tensor(nf, nf_from_diagram(identity_diagram(n - i - 1), p), p)
+            nf = nf_tensor(nf, nf_from_diagram(identity_diagram(n - i - 1), p))
         out.append(nf)
     return out
 
@@ -82,7 +82,6 @@ class MultTable:
     n: int
     basis: list
     products: list  # products[i][j] = basis[i] stacked on basis[j]
-    params_fingerprint: str
 
     def to_json(self) -> dict:
         return {
@@ -107,22 +106,22 @@ def mult_table(n: int, p: CategoryParams, bound: int = DEFAULT_TABLE_BOUND) -> M
     basis = list(enumerate_diagrams(n, n))
     assert len(basis) == double_factorial(2 * n - 1)
     nfs = [nf_from_diagram(d, p) for d in basis]
-    products = [[nf_compose(x, y, p) for y in nfs] for x in nfs]
-    return MultTable(n, basis, products, nfs[0].params_fingerprint if nfs else "")
+    products = [[nf_compose(x, y) for y in nfs] for x in nfs]
+    return MultTable(n, basis, products)
 
 
-def _prod(p, factors):
+def _prod(factors):
     out = factors[0]
     for f in factors[1:]:
-        out = nf_compose(out, f, p)
+        out = nf_compose(out, f)
     return out
 
 
-def _combo(p, terms):
+def _combo(terms):
     """Linear combination [(coeff, [factors])] evaluated in End(n)."""
     total = None
     for coeff, factors in terms:
-        nf = _prod(p, factors).scale(coeff)
+        nf = _prod(factors).scale(coeff)
         total = nf if total is None else total + nf
     return total
 
@@ -249,6 +248,6 @@ def check_presentation(preset_name: str, n: int, params: CategoryParams = None) 
     p = preset(preset_name) if params is None else params
     failed = []
     for label, lhs, rhs in _PRESENTATIONS[preset_name](n, p):
-        if _combo(p, lhs).terms != _combo(p, rhs).terms:
+        if _combo(lhs).terms != _combo(rhs).terms:
             failed.append(label)
     return failed

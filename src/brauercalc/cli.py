@@ -264,7 +264,7 @@ def cmd_compose(args):
     p = load_params(args)
     x = eval_expr(args.top, p)
     y = eval_expr(args.bottom, p)
-    print(format_nf(nf_compose(x, y, p), args.format))
+    print(format_nf(nf_compose(x, y), args.format))
     return EXIT_OK
 
 
@@ -272,7 +272,7 @@ def cmd_tensor(args):
     p = load_params(args)
     x = eval_expr(args.left, p)
     y = eval_expr(args.right, p)
-    print(format_nf(nf_tensor(x, y, p), args.format))
+    print(format_nf(nf_tensor(x, y), args.format))
     return EXIT_OK
 
 
@@ -388,14 +388,14 @@ def cmd_map(args):
         spec = RescaleSpec(
             lp_parse(args.alpha), lp_parse(args.beta), lp_parse(args.gamma)
         )
-        out, target = rescale(nf, spec, p)
+        out = rescale(nf, spec)
     elif args.functor == "vflip":
-        out, target = vflip(nf, p)
+        out = vflip(nf)
     else:
-        out, target = hflip(nf, p)
+        out = hflip(nf)
     print(
         json.dumps(
-            {"normal_form": out.to_json(), "params": target.to_json()}, indent=2
+            {"normal_form": out.to_json(), "params": out.params.to_json()}, indent=2
         )
     )
     return EXIT_OK
@@ -431,6 +431,25 @@ def cmd_render(args):
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A subcommand parser.  With `exprs=True` a token that starts with `-`
+    and names none of its options is an expression such as `-q*id@2`, read
+    as if `--` preceded it."""
+
+    def __init__(self, *args, exprs=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.exprs = exprs
+
+    def _parse_optional(self, arg_string):
+        found = super()._parse_optional(arg_string)
+        # one (action, option string, ...) tuple, or a list of them in newer
+        # Pythons; an option this parser does not know has no action
+        first = found[0] if isinstance(found, list) else found
+        if self.exprs and first is not None and first[0] is None:
+            return None
+        return found
+
+
 def _add_params_flags(sp):
     sp.add_argument("-p", "--preset", help="named parameter record")
     sp.add_argument("--params", help="JSON file with a parameter record")
@@ -445,22 +464,26 @@ def build_parser():
         prog="brauercalc",
         description="Exact calculator for cup/cap/crossing diagram categories.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sp = sub.add_parser("normalize", help="normal form of an expression")
+    sp = sub.add_parser("normalize", help="normal form of an expression", exprs=True)
     _add_params_flags(sp)
     _add_format_flag(sp)
     sp.add_argument("expr")
     sp.set_defaults(func=cmd_normalize)
 
-    sp = sub.add_parser("compose", help="stack the first expression on the second")
+    sp = sub.add_parser(
+        "compose", help="stack the first expression on the second", exprs=True
+    )
     _add_params_flags(sp)
     _add_format_flag(sp)
     sp.add_argument("top")
     sp.add_argument("bottom")
     sp.set_defaults(func=cmd_compose)
 
-    sp = sub.add_parser("tensor", help="place the first expression left of the second")
+    sp = sub.add_parser(
+        "tensor", help="place the first expression left of the second", exprs=True
+    )
     _add_params_flags(sp)
     _add_format_flag(sp)
     sp.add_argument("left")
@@ -485,7 +508,9 @@ def build_parser():
     _add_params_flags(sp)
     sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("map", help="apply a structural functor to an expression")
+    sp = sub.add_parser(
+        "map", help="apply a structural functor to an expression", exprs=True
+    )
     _add_params_flags(sp)
     sp.add_argument("--functor", choices=("rescale", "vflip", "hflip"), required=True)
     sp.add_argument("--alpha", default="1")

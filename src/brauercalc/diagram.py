@@ -321,10 +321,6 @@ def through_perm(d: BrauerDiagram):
     return tuple(rank[t] for t in tops)
 
 
-def count_inversions(p) -> int:
-    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-
-
 def permutation_canonical_word(p):
     """Canonical reduced word for a 0-based one-line permutation.
 
@@ -369,48 +365,6 @@ def standard_letters(d: BrauerDiagram):
         letters.append(("cup", a))
         letters.extend(("cross", a + j) for j in range(1, s + 1))
     return letters
-
-
-def diagram_from_parts(m, caps, perm, cups) -> BrauerDiagram:
-    """Rebuild a diagram from standard factorization parts via the oracle.
-
-    `caps`/`cups` are (s, a) lists topmost-first; `perm` is a 0-based
-    one-line permutation of the through-strands.  Asserts no loops close.
-    """
-    w = m
-    d = identity_diagram(m)
-    for s, a in reversed(caps):
-        loops, d = compose_oracle(elem_cap_block(w - 2, s, a), d)
-        assert loops == 0
-        w -= 2
-    loops, d = compose_oracle(perm_diagram(perm), d)
-    assert loops == 0
-    for s, a in reversed(cups):
-        loops, d = compose_oracle(elem_cup_block(w, s, a), d)
-        assert loops == 0
-        w += 2
-    return d
-
-
-def diagram_from_letters(m, letters) -> BrauerDiagram:
-    """Evaluate generator letters bottom-to-top into a matching (oracle)."""
-    d = identity_diagram(m)
-    w = m
-    for kind, pos in letters:
-        if kind == "cross":
-            elem = elem_cross(w, pos)
-        elif kind == "cup":
-            elem = elem_cup(w, pos)
-            w += 2
-        elif kind == "cap":
-            elem = elem_cap(w - 2, pos)
-            w -= 2
-        else:
-            raise DiagramError("bad letter kind %r" % kind)
-        loops, d = compose_oracle(elem, d)
-        if loops:
-            raise DiagramError("letters close a loop")
-    return d
 
 
 def remove_top_pair(d: BrauerDiagram, i: int, j: int) -> BrauerDiagram:

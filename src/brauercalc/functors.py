@@ -3,13 +3,14 @@ Isomorphisms between diagram categories: rescaling and the two flips.
 
 `rescale` multiplies the three generators by invertible monomials alpha
 (cap), beta (cup) and gamma (crossing).  `vflip` turns diagrams upside down
-(contravariant), `hflip` mirrors them left to right.  Each functor returns
-the image normal form together with the parameter record of the target
-category; the target record always satisfies the consistency equations when
-the source does.  `rescale_params` and `hflip_params` map the source's free
-parameters (`params.free_values`, which refuses a record whose derived
-fields do not follow from them) and let `make_params` derive the rest;
-`vflip_params` exchanges each parameter with its primed partner.
+(contravariant), `hflip` mirrors them left to right.  Each functor reads
+the source record off its operand (`nf.params`) and returns one normal form
+whose `.params` is the record of the target category; the target record
+always satisfies the consistency equations when the source does.
+`rescale_params` and `hflip_params` map the source's free parameters
+(`params.free_values`, which refuses a record whose derived fields do not
+follow from them) and let `make_params` derive the rest; `vflip_params`
+exchanges each parameter with its primed partner.
 
 Images are computed on the diagram basis.  Under `rescale` and `vflip` each
 basis diagram goes to one diagram in closed form; under `hflip` its standard
@@ -24,14 +25,7 @@ from dataclasses import dataclass
 from .coeff import LaurentPoly, gr, lp_exact_div
 from .diagram import standard_letters, vflip_diagram
 from .params import CategoryParams, free_values, make_params, vflip_params
-from .rewrite import (
-    NormalForm,
-    RewriteError,
-    _acc,
-    _fingerprint,
-    _require_consistent,
-    normalize,
-)
+from .rewrite import NormalForm, RewriteError, _acc, _require_consistent, normalize
 from .term import CAP, CROSS, CUP, GenWord, Letter
 
 
@@ -101,38 +95,37 @@ def _count_letters(d) -> tuple:
     return caps, cups, crossings
 
 
-def rescale(nf: NormalForm, spec: RescaleSpec, src: CategoryParams):
+def rescale(nf: NormalForm, spec: RescaleSpec) -> NormalForm:
     """Multiply caps by alpha, cups by beta and crossings by gamma.
 
     Each basis diagram is an eigenvector: its coefficient picks up one factor
     per letter of its standard word.
     """
-    target = rescale_params(src, spec)
+    target = rescale_params(nf.params, spec)
     terms = {}
     for d, c in nf.terms.items():
         caps, cups, crossings = _count_letters(d)
         scalar = spec.alpha ** caps * spec.beta ** cups * spec.gamma ** crossings
         terms[d] = c * scalar
-    out = NormalForm(nf.m, nf.n, terms, _fingerprint(target))
-    return out, target
+    return NormalForm(nf.m, nf.n, terms, target)
 
 
-def vflip(nf: NormalForm, src: CategoryParams):
+def vflip(nf: NormalForm) -> NormalForm:
     """Turn the normal form upside down (contravariant).
 
     Each basis diagram goes to its reflection with the coefficient unchanged:
     its reversed standard word, cups and caps swapped, normalizes to the
     reflected diagram with coefficient 1 in the flipped category.
     """
-    target = vflip_params(src)
+    target = vflip_params(nf.params)
     _require_consistent(target)
     terms = {vflip_diagram(d): c for d, c in nf.terms.items()}
-    return NormalForm(nf.n, nf.m, terms, _fingerprint(target)), target
+    return NormalForm(nf.n, nf.m, terms, target)
 
 
-def hflip(nf: NormalForm, src: CategoryParams):
+def hflip(nf: NormalForm) -> NormalForm:
     """Mirror the normal form left to right."""
-    target = hflip_params(src)
+    target = hflip_params(nf.params)
     terms = {}
     for d, c in nf.terms.items():
         letters = []
@@ -147,4 +140,4 @@ def hflip(nf: NormalForm, src: CategoryParams):
             else:
                 letters.append(Letter(CROSS, w - pos))
         _acc(terms, normalize(GenWord(d.m, tuple(letters)), target).terms, c)
-    return NormalForm(nf.m, nf.n, terms, _fingerprint(target)), target
+    return NormalForm(nf.m, nf.n, terms, target)

@@ -37,7 +37,6 @@ ready-made categories.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -120,10 +119,6 @@ class CategoryParams:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def fingerprint(self) -> str:
-        payload = json.dumps(self.to_json(), sort_keys=True)
-        return hashlib.sha1(payload.encode()).hexdigest()
 
     def to_json(self) -> dict:
         return {

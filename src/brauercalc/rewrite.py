@@ -7,11 +7,11 @@ diagram is, by definition, the coefficient in front of its standard
 expression, which anchors all supersigns.
 
 The engine works strictly bottom to top: `normalize` folds the letters of a
-word one at a time with `push_generator`, which knows how to stack a single
-cup, cap, or crossing on top of a diagram already in standard form.  Each
-push is resolved by a case analysis on how the new letter meets the topmost
-cup block (or, if there are no cups, the permutation part) of the diagram,
-applying the defining relations of the category.  Signs arise only from
+word one at a time into the engine's `push`, which knows how to stack a
+single cup, cap, or crossing on top of a diagram already in standard form.
+Each push is resolved by a case analysis on how the new letter meets the
+topmost cup block (or, if there are no cups, the permutation part) of the
+diagram, applying the defining relations of the category.  Signs arise only from
 commuting odd letters (cups/caps when epsilon = -1) past each other.
 
 `check_local_confluence` exhaustively verifies that applying any single
@@ -19,9 +19,27 @@ relation anywhere in a small word, then normalizing, agrees with normalizing
 the word directly.  It deliberately accepts inconsistent parameter records so
 that it can *detect* them.
 
-`_ENGINES` maps each parameter record to its engine, which holds the record's
-fingerprint, its consistency verdict and its memo; clearing it resets
-everything the engine remembers.  The memo has two namespaces of keys
+A normal form carries the parameter record of its category as `.params`,
+and `nf_compose`, `nf_tensor` and `+` read the record off their operands:
+operands of two different categories raise `ParamsMismatch`.  Records are
+compared by identity first and by value second.
+
+    >>> from brauercalc.params import preset
+    >>> from brauercalc.term import cross, word
+    >>> g = normalize(word(2, [cross(1)]), preset("bwm"))
+    >>> gg = nf_compose(g, g)
+    >>> [(t["pairs"], t["coeff"]) for t in gg.to_json()["terms"]]
+    [([[0, 1], [2, 3]], '-v*z'), ([[0, 2], [1, 3]], '1'), ([[0, 3], [1, 2]], 'z')]
+    >>> gg.params == preset("bwm")
+    True
+    >>> nf_compose(g, normalize(word(2, [cross(1)]), preset("brauer")))
+    Traceback (most recent call last):
+    ...
+    brauercalc.rewrite.ParamsMismatch: normal forms built with different parameters
+
+`_ENGINES` maps each parameter record to its engine, which holds the
+record's consistency verdict and its memo; clearing it resets everything the
+engine remembers.  The memo has two namespaces of keys
 (kind, position, diagram): a letter pushed on a diagram (kind `cross`, `cap`
 or `cup`), and a cup block that tangles with the diagram's cups (kind
 `("cupblock", spread)`).  A cap pushed on a cupless diagram is solved in two
@@ -38,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .coeff import LaurentPoly, lp_exact_div, lp_int, lp_parse, lp_str
+from .coeff import LaurentPoly, lp_exact_div, lp_int, lp_str
 from .diagram import (
     BrauerDiagram,
     compose_oracle,
@@ -84,30 +102,28 @@ class FuelExhausted(RewriteError):
 
 @dataclass
 class NormalForm:
-    """A linear combination of (m, n) Brauer diagrams."""
+    """A linear combination of (m, n) Brauer diagrams in the category of
+    the record `params`."""
 
     m: int
     n: int
     terms: dict
-    params_fingerprint: str
+    params: CategoryParams
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def scale(self, coeff: LaurentPoly) -> "NormalForm":
-        return NormalForm(
-            self.m, self.n, _acc({}, self.terms, coeff), self.params_fingerprint
-        )
+        return NormalForm(self.m, self.n, _acc({}, self.terms, coeff), self.params)
 
     def __add__(self, other: "NormalForm") -> "NormalForm":
         if (self.m, self.n) != (other.m, other.n):
             raise WidthMismatch("cannot add normal forms of different shapes")
-        if self.params_fingerprint != other.params_fingerprint:
-            raise ParamsMismatch("normal forms built with different parameters")
+        _same_params(self, other)
         out = dict(self.terms)
         for d, c in other.terms.items():
             _add_term(out, d, c)
-        return NormalForm(self.m, self.n, out, self.params_fingerprint)
+        return NormalForm(self.m, self.n, out, self.params)
 
     def __sub__(self, other: "NormalForm") -> "NormalForm":
         return self + replace(other, terms=_negated(other.terms))
@@ -121,19 +137,15 @@ class NormalForm:
         }
 
 
-def nf_from_json(data: dict, p: CategoryParams) -> NormalForm:
-    m, n = int(data["m"]), int(data["n"])
-    terms = {}
-    for item in data["terms"]:
-        d = from_pairs(m, n, [tuple(pair) for pair in item["pairs"]])
-        coeff = lp_parse(item["coeff"])
-        if not coeff.is_zero():
-            terms[d] = coeff
-    return NormalForm(m, n, terms, _fingerprint(p))
-
-
 def nf_from_diagram(d: BrauerDiagram, p: CategoryParams) -> NormalForm:
-    return NormalForm(d.m, d.n, {d: lp_int(1)}, _fingerprint(p))
+    return NormalForm(d.m, d.n, {d: lp_int(1)}, p)
+
+
+def _same_params(x: NormalForm, y: NormalForm):
+    """Refuse x and y unless they share one record: the same object, or
+    else equal field by field."""
+    if x.params is not y.params and x.params != y.params:
+        raise ParamsMismatch("normal forms built with different parameters")
 
 
 def _add_term(acc: dict, d: BrauerDiagram, coeff: LaurentPoly):
@@ -182,7 +194,6 @@ class _Engine:
 
     def __init__(self, params: CategoryParams):
         self.p = params
-        self.fp = params.fingerprint()
         self.violations = None  # check_consistency(params), once computed
         self.eps = params.epsilon
         self.e_poly = LaurentPoly.const(params.e)
@@ -400,10 +411,6 @@ def _engine(p: CategoryParams) -> _Engine:
     return eng
 
 
-def _fingerprint(p: CategoryParams) -> str:
-    return _engine(p).fp
-
-
 def _engine_for(p: CategoryParams) -> _Engine:
     """The engine of p, with a fresh step budget for one public call."""
     global _fuel
@@ -430,40 +437,29 @@ def _normalize_unchecked(w: GenWord, p: CategoryParams):
     terms = {identity_diagram(w.domain): lp_int(1)}
     for letter in w.letters:
         terms = eng.push_nf(letter.kind, letter.pos, terms)
-    return NormalForm(w.domain, w.codomain, terms, eng.fp)
+    return NormalForm(w.domain, w.codomain, terms, p)
 
 
-def push_generator(g: Letter, d: BrauerDiagram, p: CategoryParams) -> NormalForm:
-    """Normal form of the letter g stacked on top of the diagram d."""
-    _require_consistent(p)
-    eng = _engine_for(p)
-    n_out = g.width_out(d.n)
-    terms = eng.push(g.kind, g.pos, d)
-    return NormalForm(d.m, n_out, dict(terms), eng.fp)
+def _check_pair(x: NormalForm, y: NormalForm) -> _Engine:
+    """The engine of the record x and y share, for one public call."""
+    _same_params(x, y)
+    return _engine_for(x.params)
 
 
-def _check_pair(x: NormalForm, y: NormalForm, p: CategoryParams) -> _Engine:
-    """The engine of p for one public call on x and y, both built under p."""
-    eng = _engine_for(p)
-    if x.params_fingerprint != eng.fp or y.params_fingerprint != eng.fp:
-        raise ParamsMismatch("normal forms built with different parameters")
-    return eng
-
-
-def nf_compose(x: NormalForm, y: NormalForm, p: CategoryParams) -> NormalForm:
+def nf_compose(x: NormalForm, y: NormalForm) -> NormalForm:
     """Stack x on top of y."""
-    eng = _check_pair(x, y, p)
+    eng = _check_pair(x, y)
     if x.m != y.n:
         raise WidthMismatch("compose: %d on top of %d" % (x.m, y.n))
     out = {}
     for dx, cx in x.terms.items():
         _acc(out, eng.push_letters(standard_letters(dx), y.terms), cx)
-    return NormalForm(y.m, x.n, out, eng.fp)
+    return NormalForm(y.m, x.n, out, x.params)
 
 
-def nf_tensor(x: NormalForm, y: NormalForm, p: CategoryParams) -> NormalForm:
+def nf_tensor(x: NormalForm, y: NormalForm) -> NormalForm:
     """Place x to the left of y: (x ⊗ id) ∘ (id ⊗ y)."""
-    eng = _check_pair(x, y, p)
+    eng = _check_pair(x, y)
     out = {}
     for dx, cx in x.terms.items():
         x_letters = standard_letters(dx)
@@ -474,7 +470,7 @@ def nf_tensor(x: NormalForm, y: NormalForm, p: CategoryParams) -> NormalForm:
                 letters, {identity_diagram(dx.m + dy.m): lp_int(1)}
             )
             _acc(out, terms, cx * cy)
-    return NormalForm(x.m + y.m, x.n + y.n, out, eng.fp)
+    return NormalForm(x.m + y.m, x.n + y.n, out, x.params)
 
 
 def under_cross(p: CategoryParams, check: bool = True) -> NormalForm:
@@ -490,7 +486,7 @@ def under_cross(p: CategoryParams, check: bool = True) -> NormalForm:
     _add_term(terms, id2, -lp_exact_div(p.b, p.a))
     _add_term(terms, hdiag, inv_a)
     _add_term(terms, cupcap, -lp_exact_div(p.c, p.lam * p.a))
-    return NormalForm(2, 2, terms, _fingerprint(p))
+    return NormalForm(2, 2, terms, p)
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +641,7 @@ def check_local_confluence(
             if rhs != lhs:
                 diff = _acc(dict(lhs), _negated(rhs), lp_int(1))
                 gw = GenWord(domain, tuple(Letter(k, pos) for k, pos in letters))
-                failures.append(
-                    (gw, NormalForm(domain, gw.codomain, diff, eng.fp))
-                )
+                failures.append((gw, NormalForm(domain, gw.codomain, diff, p)))
         if len(letters) >= max_letters:
             return
         candidates = [(CROSS, r) for r in range(1, width)]

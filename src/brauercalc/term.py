@@ -262,36 +262,3 @@ def parse_expr(text: str) -> list:
     if parser.pos != len(parser.toks):
         raise ExprParseError("trailing input: %r" % (parser.toks[parser.pos :],))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Printing
-
-
-_KIND_TO_SYM = {CROSS: "s", CAP: "a", CUP: "u"}
-
-
-def word_to_dsl(w: GenWord) -> str:
-    """Render a word back into the DSL (top factor leftmost)."""
-    if not w.letters:
-        return "id@%d" % w.domain
-    widths = w.widths()
-    parts = [
-        "%s(%d)@%d" % (_KIND_TO_SYM[l.kind], l.pos, widths[i])
-        for i, l in enumerate(w.letters)
-    ]
-    return " . ".join(reversed(parts))
-
-
-def scaled_words_to_dsl(terms) -> str:
-    """Render parse_expr() terms back into the DSL."""
-    if not terms:
-        return "0"
-    chunks = []
-    for c, w in terms:
-        ws = word_to_dsl(w)
-        if c == lp_int(1):
-            chunks.append(ws)
-        else:
-            chunks.append("(%s) * %s" % (lp_str(c), ws))
-    return " + ".join(chunks)

@@ -38,8 +38,8 @@ def test_gens_inverse_inverts():
     ginv = gens_inverse(4, BWM)
     ident = nf_from_diagram(identity_diagram(4), BWM)
     for x, y in zip(g, ginv):
-        assert nf_compose(x, y, BWM).terms == ident.terms
-        assert nf_compose(y, x, BWM).terms == ident.terms
+        assert nf_compose(x, y).terms == ident.terms
+        assert nf_compose(y, x).terms == ident.terms
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -75,25 +75,25 @@ def test_table_products_are_associative_randomly():
     size = len(table.basis)
     for _ in range(500):
         i, j, k = (rng.randrange(size) for _ in range(3))
-        left = nf_compose(table.products[i][j], nfs[k], BWM)
-        right = nf_compose(nfs[i], table.products[j][k], BWM)
+        left = nf_compose(table.products[i][j], nfs[k])
+        right = nf_compose(nfs[i], table.products[j][k])
         assert left.terms == right.terms
 
 
 def test_e_squared_values():
     _, e = gens(3, BWM)
-    sq = nf_compose(e[0], e[0], BWM)
+    sq = nf_compose(e[0], e[0])
     assert sq.terms == e[0].scale(BWM.delta).terms
 
     gq, eq = gens(3, PERI_Q)
-    assert nf_compose(eq[0], eq[0], PERI_Q).is_zero()
-    assert nf_compose(gq[0], eq[0], PERI_Q).terms == eq[0].scale(lp_parse("q")).terms
-    assert nf_compose(eq[0], gq[0], PERI_Q).terms == eq[0].scale(lp_parse("-q^-1")).terms
+    assert nf_compose(eq[0], eq[0]).is_zero()
+    assert nf_compose(gq[0], eq[0]).terms == eq[0].scale(lp_parse("q")).terms
+    assert nf_compose(eq[0], gq[0]).terms == eq[0].scale(lp_parse("-q^-1")).terms
 
 
 def test_signed_jones_relation():
     _, e = gens(3, PERI_Q)
-    prod = nf_compose(nf_compose(e[0], e[1], PERI_Q), e[0], PERI_Q)
+    prod = nf_compose(nf_compose(e[0], e[1]), e[0])
     assert prod.terms == e[0].scale(lp_int(-1)).terms
 
 

@@ -10,10 +10,7 @@ from brauercalc.diagram import (
     apply_word,
     cap_blocks,
     compose_oracle,
-    count_inversions,
     cup_blocks,
-    diagram_from_letters,
-    diagram_from_parts,
     double_factorial,
     elem_cap,
     elem_cap_block,
@@ -32,6 +29,50 @@ from brauercalc.diagram import (
     through_perm,
     vflip_diagram,
 )
+
+
+# ---------------------------------------------------------------------------
+# Oracles: a diagram rebuilt from its factorization by composing elementary
+# diagrams, and a permutation's length
+
+
+def count_inversions(p) -> int:
+    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+
+
+def diagram_from_parts(m, caps, perm, cups) -> BrauerDiagram:
+    """Rebuild a diagram from its cap blocks, through-strand permutation and
+    cup blocks ((s, a) lists topmost first); no loop may close."""
+    w = m
+    d = identity_diagram(m)
+    for s, a in reversed(caps):
+        loops, d = compose_oracle(elem_cap_block(w - 2, s, a), d)
+        assert loops == 0
+        w -= 2
+    loops, d = compose_oracle(perm_diagram(perm), d)
+    assert loops == 0
+    for s, a in reversed(cups):
+        loops, d = compose_oracle(elem_cup_block(w, s, a), d)
+        assert loops == 0
+        w += 2
+    return d
+
+
+def diagram_from_letters(m, letters) -> BrauerDiagram:
+    """Compose generator letters bottom to top into a matching; no loop may
+    close."""
+    d = identity_diagram(m)
+    w = m
+    for kind, pos in letters:
+        if kind == "cross":
+            elem = elem_cross(w, pos)
+        elif kind == "cup":
+            elem, w = elem_cup(w, pos), w + 2
+        else:
+            elem, w = elem_cap(w - 2, pos), w - 2
+        loops, d = compose_oracle(elem, d)
+        assert loops == 0
+    return d
 
 
 def test_enumeration_counts():

@@ -12,10 +12,26 @@ from brauercalc.term import (
     cross,
     cup,
     parse_expr,
-    scaled_words_to_dsl,
     word,
-    word_to_dsl,
 )
+
+
+def word_to_dsl(w) -> str:
+    """Render a word back into the DSL (top factor leftmost)."""
+    if not w.letters:
+        return "id@%d" % w.domain
+    sym = {"cross": "s", "cap": "a", "cup": "u"}
+    widths = w.widths()
+    parts = ["%s(%d)@%d" % (sym[l.kind], l.pos, widths[i]) for i, l in enumerate(w.letters)]
+    return " . ".join(reversed(parts))
+
+
+def scaled_words_to_dsl(terms) -> str:
+    """Render parse_expr() terms back into the DSL."""
+    return " + ".join(
+        word_to_dsl(w) if c == lp_int(1) else "(%s) * %s" % (lp_str(c), word_to_dsl(w))
+        for c, w in terms
+    )
 
 
 def shape(terms):
