@@ -432,22 +432,19 @@ def cmd_render(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A subcommand parser.  With `exprs=True` a token that starts with `-`
-    and names none of its options is an expression such as `-q*id@2`, read
-    as if `--` preceded it."""
+    """A subcommand parser.  With `exprs=True` a token that starts with a
+    single `-` and contains `@` is an expression such as `-q*id@2` or
+    `-p*id@2`, read as if `--` preceded it: every generator of the DSL
+    carries `@`, and no option, preset or format name does."""
 
     def __init__(self, *args, exprs=False, **kwargs):
         super().__init__(*args, **kwargs)
         self.exprs = exprs
 
     def _parse_optional(self, arg_string):
-        found = super()._parse_optional(arg_string)
-        # one (action, option string, ...) tuple, or a list of them in newer
-        # Pythons; an option this parser does not know has no action
-        first = found[0] if isinstance(found, list) else found
-        if self.exprs and first is not None and first[0] is None:
+        if self.exprs and not arg_string.startswith("--") and "@" in arg_string:
             return None
-        return found
+        return super()._parse_optional(arg_string)
 
 
 def _add_params_flags(sp):

@@ -26,7 +26,7 @@ from .coeff import LaurentPoly, gr, lp_exact_div
 from .diagram import standard_letters, vflip_diagram
 from .params import CategoryParams, free_values, make_params, vflip_params
 from .rewrite import NormalForm, RewriteError, _acc, _require_consistent, normalize
-from .term import CAP, CROSS, CUP, GenWord, Letter
+from .term import CAP, CUP, WIDTH_CHANGE, GenWord, Letter
 
 
 class NonUnitScale(RewriteError):
@@ -131,13 +131,9 @@ def hflip(nf: NormalForm) -> NormalForm:
         letters = []
         w = d.m
         for kind, pos in standard_letters(d):
-            if kind == CUP:
-                letters.append(Letter(CUP, w + 2 - pos))
-                w += 2
-            elif kind == CAP:
-                letters.append(Letter(CAP, w - pos))
-                w -= 2
-            else:
-                letters.append(Letter(CROSS, w - pos))
+            # the mirror of a letter on width w, measured on its wider side
+            step = WIDTH_CHANGE[kind]
+            letters.append(Letter(kind, max(w, w + step) - pos))
+            w += step
         _acc(terms, normalize(GenWord(d.m, tuple(letters)), target).terms, c)
     return NormalForm(nf.m, nf.n, terms, target)

@@ -17,14 +17,35 @@ commuting odd letters (cups/caps when epsilon = -1) past each other.
 `check_local_confluence` exhaustively verifies that applying any single
 relation anywhere in a small word, then normalizing, agrees with normalizing
 the word directly.  It deliberately accepts inconsistent parameter records so
-that it can *detect* them.
+that it can *detect* them.  The relations are data: each row of `_RELATIONS`
+is a label, a window of (kind, offset) letters and a right-hand side of
+(field, replacement) pairs.  Nine rows are written out; each whose window is
+not its own upside-down image also yields that image as a `ud-` row, its
+fields exchanged with their primed partners.  Two letters on different
+strands commute by `_swap_step`.  The sweep keeps the normal form of every
+prefix of the word it visits, and pushes a replacement at height h onto the
+normal form of the h letters below it.
+
+    >>> from brauercalc.params import preset
+    >>> for w in [((CUP, 2), (CROSS, 1)), ((CROSS, 1), (CAP, 2))]:
+    ...     for label, h, span, rhs in _relation_steps(preset("periplectic_q"), w):
+    ...         print(label)
+    ...         for coeff, repl in rhs:
+    ...             print("    %-9s %s" % (lp_str(coeff), repl))
+    sliding
+        0         [('cup', 1)]
+        1         [('cup', 1), ('cross', 2)]
+        q - q^-1  [('cup', 2)]
+    ud-sliding
+        -q + q^-1 [('cap', 1)]
+        1         [('cross', 2), ('cap', 1)]
+        0         [('cap', 2)]
 
 A normal form carries the parameter record of its category as `.params`,
 and `nf_compose`, `nf_tensor` and `+` read the record off their operands:
 operands of two different categories raise `ParamsMismatch`.  Records are
 compared by identity first and by value second.
 
-    >>> from brauercalc.params import preset
     >>> from brauercalc.term import cross, word
     >>> g = normalize(word(2, [cross(1)]), preset("bwm"))
     >>> gg = nf_compose(g, g)
@@ -69,8 +90,8 @@ from .diagram import (
     standard_letters,
     vflip_diagram,
 )
-from .params import CategoryParams, check_consistency, vflip_params
-from .term import CAP, CROSS, CUP, GenWord, Letter
+from .params import _PRIMED, CategoryParams, check_consistency, vflip_params
+from .term import CAP, CROSS, CUP, WIDTH_CHANGE, GenWord, Letter
 
 
 DEFAULT_FUEL = 10 ** 6
@@ -493,56 +514,82 @@ def under_cross(p: CategoryParams, check: bool = True) -> NormalForm:
 # Local confluence sweep
 
 
-def _letter_parity(kind: str) -> int:
-    return 0 if kind == CROSS else 1
-
-
 def _swap_step(g, u):
     """Commute the upper letter u below the lower letter g.
 
-    Returns (parity exponent, (new lower, new upper)) or None if the letters
-    touch the same strands.  Letters are (kind, pos) pairs; g acts first.
+    Returns the new (lower, upper) pair, or None if the letters touch the
+    same strands.  Letters are (kind, pos) pairs; g acts first.  On the level
+    between them strand j sits at 2j and the slot left of it at 2j - 1: g's
+    output covers its strands 2x .. 2x + 2, or the slot 2x - 1 a cap leaves,
+    and u's input covers 2r .. 2r + 2, or the slot 2r - 1 a cup fills.  Only
+    the letter on the right moves: g by u's width change, or u back by g's.
     """
-    gk, x = g
-    uk, r = u
-    if gk in (CROSS, CUP):
-        if uk in (CROSS, CAP):
-            if r + 1 < x:
-                nu = (uk, r)
-                ng = (gk, x - 2 if uk == CAP else x)
-            elif r > x + 1:
-                nu = (uk, r - 2 if gk == CUP else r)
-                ng = (gk, x)
-            else:
-                return None
-        else:  # u is a cup inserted at slot r
-            if r <= x:
-                nu = (uk, r)
-                ng = (gk, x + 2)
-            elif r >= x + 2:
-                nu = (uk, r - 2 if gk == CUP else r)
-                ng = (gk, x)
-            else:
-                return None
-    else:  # g is a cap at x
-        if uk in (CROSS, CAP):
-            if r + 1 < x:
-                nu = (uk, r)
-                ng = (gk, x - 2 if uk == CAP else x)
-            elif r >= x:
-                nu = (uk, r + 2)
-                ng = (gk, x)
-            else:
-                return None
-        else:
-            if r <= x - 1:
-                nu = (uk, r)
-                ng = (gk, x + 2)
-            else:
-                nu = (uk, r + 2)
-                ng = (gk, x)
-    exponent = _letter_parity(gk) * _letter_parity(uk)
-    return exponent, (nu, ng)
+    (gk, x), (uk, r) = g, u
+    g_lo, g_hi = (2 * x - 1, 2 * x - 1) if gk == CAP else (2 * x, 2 * x + 2)
+    u_lo, u_hi = (2 * r - 1, 2 * r - 1) if uk == CUP else (2 * r, 2 * r + 2)
+    if u_hi < g_lo:
+        return (uk, r), (gk, x + WIDTH_CHANGE[uk])
+    # a cup filling the slot a cap leaves lies right of it
+    if u_lo > g_hi or (gk, uk, r) == (CAP, CUP, x):
+        return (uk, r - WIDTH_CHANGE[gk]), (gk, x)
+    return None
+
+
+# One row per relation: (label, window, [(field, replacement), ...]).  A
+# window lists its (kind, offset) letters bottom to top, the offset counted
+# from the window's first letter; a replacement's letters use the same
+# offsets.  The field names the coefficient in the record, None being 1.
+_RELATIONS = (
+    ("untwisting", ((CUP, 0), (CROSS, 0)), (("lam", ((CUP, 0),)),)),
+    ("sliding", ((CUP, 0), (CROSS, -1)),
+     (("d", ((CUP, -1),)), ("e", ((CUP, -1), (CROSS, 0))), ("f", ((CUP, 0),)))),
+    ("looping", ((CUP, 0), (CAP, 0)), (("delta", ()),)),
+    ("straightening", ((CUP, 0), (CAP, -1)), (("sig", ()),)),
+    ("twisting", ((CROSS, 0), (CROSS, 0)),
+     (("a", ()), ("b", ((CROSS, 0),)), ("c", ((CAP, 0), (CUP, 0))))),
+    ("delooping", ((CUP, 0), (CROSS, 1), (CAP, 0)), (("rho", ()),)),
+    ("pulling", ((CUP, 0), (CROSS, 1), (CROSS, 0)),
+     (("D", ((CUP, 0),)), ("E", ((CUP, 0), (CROSS, 1))), ("F", ((CUP, 1),)))),
+    ("braid", ((CROSS, 0), (CROSS, 1), (CROSS, 0)),
+     ((None, ((CROSS, 1), (CROSS, 0), (CROSS, 1))),)),
+    ("braid-rev", ((CROSS, 0), (CROSS, -1), (CROSS, 0)),
+     ((None, ((CROSS, -1), (CROSS, 0), (CROSS, -1))),)),
+)
+
+_FLIPPED_KIND = {CROSS: CROSS, CAP: CUP, CUP: CAP}
+_PARTNER = dict(_PRIMED + tuple(pair[::-1] for pair in _PRIMED))
+
+
+def _upside_down(row):
+    """The relation turned upside down, or None if its window is its own
+    image: letters reversed, cups and caps swapped, positions kept and
+    offsets taken from the new first letter, each field exchanged with its
+    primed partner."""
+    label, window, rhs = row
+    first = window[-1][1]
+
+    def flip(letters):
+        return tuple((_FLIPPED_KIND[k], off - first) for k, off in reversed(letters))
+
+    if flip(window) == window:
+        return None
+    return (
+        "ud-" + label,
+        flip(window),
+        tuple((_PARTNER.get(f, f), flip(repl)) for f, repl in rhs),
+    )
+
+
+_RELATIONS += tuple(filter(None, map(_upside_down, _RELATIONS)))
+_BY_WINDOW = {row[1]: row for row in _RELATIONS}
+
+
+def _coeff(p: CategoryParams, field) -> LaurentPoly:
+    """The coefficient a row's field names: 1 for None, a unit as a constant."""
+    if field is None:
+        return lp_int(1)
+    value = getattr(p, field)
+    return value if isinstance(value, LaurentPoly) else LaurentPoly.const(value)
 
 
 def _relation_steps(p: CategoryParams, letters):
@@ -551,71 +598,25 @@ def _relation_steps(p: CategoryParams, letters):
     Yields (label, height, window length, [(coeff, replacement letters)]).
     Coefficients are LaurentPoly; replacements splice in place.
     """
-    one = lp_int(1)
-    n = len(letters)
-    for h in range(n - 1):
-        (k1, p1), (k2, p2) = letters[h], letters[h + 1]
-        if k1 == CUP and k2 == CROSS:
-            if p2 == p1:
-                yield "untwisting", h, 2, [(p.lam, [(CUP, p1)])]
-            elif p2 == p1 - 1:
-                yield "sliding", h, 2, [
-                    (p.d, [(CUP, p1 - 1)]),
-                    (LaurentPoly.const(p.e), [(CUP, p1 - 1), (CROSS, p1)]),
-                    (p.f, [(CUP, p1)]),
+    for span in (2, 3):
+        for h in range(len(letters) - span + 1):
+            x = letters[h][1]
+            # a list, not a generator: tuple() shrinks a generator's result
+            # from a guessed size, which fills the free lists of small tuples
+            # (2,000 each) and raised the sweep's peak RSS by about 0.2 MB
+            window = tuple([(k, pos - x) for k, pos in letters[h : h + span]])
+            row = _BY_WINDOW.get(window)
+            if row is not None:
+                label, _, rhs = row
+                yield label, h, span, [
+                    (_coeff(p, field), [(k, x + off) for k, off in repl])
+                    for field, repl in rhs
                 ]
-        elif k1 == CROSS and k2 == CAP:
-            if p2 == p1:
-                yield "ud-untwisting", h, 2, [(p.lam_p, [(CAP, p1)])]
-            elif p2 == p1 + 1:
-                yield "ud-sliding", h, 2, [
-                    (p.d_p, [(CAP, p1)]),
-                    (LaurentPoly.const(p.e_prime), [(CROSS, p1 + 1), (CAP, p1)]),
-                    (p.f_p, [(CAP, p1 + 1)]),
-                ]
-        elif k1 == CUP and k2 == CAP:
-            if p2 == p1:
-                yield "looping", h, 2, [(p.delta, [])]
-            elif p2 == p1 - 1:
-                yield "straightening", h, 2, [(p.sig, [])]
-            elif p2 == p1 + 1:
-                yield "ud-straightening", h, 2, [(p.sig_p, [])]
-        elif k1 == CROSS and k2 == CROSS and p1 == p2:
-            yield "twisting", h, 2, [
-                (p.a, []),
-                (p.b, [(CROSS, p1)]),
-                (p.c, [(CAP, p1), (CUP, p1)]),
-            ]
-        swap = _swap_step(letters[h], letters[h + 1])
-        if swap is not None:
-            exponent, (nu, ng) = swap
-            sgn = -1 if (p.epsilon == -1 and exponent % 2 == 1) else 1
-            yield "swap", h, 2, [(lp_int(sgn), [nu, ng])]
-    for h in range(n - 2):
-        (k1, p1), (k2, p2), (k3, p3) = letters[h], letters[h + 1], letters[h + 2]
-        if (k1, k2, k3) == (CUP, CROSS, CAP) and p2 == p1 + 1 and p3 == p1:
-            yield "delooping", h, 3, [(p.rho, [])]
-        elif (k1, k2, k3) == (CUP, CROSS, CROSS) and p2 == p1 + 1 and p3 == p1:
-            yield "pulling", h, 3, [
-                (p.D, [(CUP, p1)]),
-                (p.E, [(CUP, p1), (CROSS, p1 + 1)]),
-                (p.F, [(CUP, p1 + 1)]),
-            ]
-        elif (k1, k2, k3) == (CROSS, CROSS, CAP) and p2 == p1 + 1 and p3 == p1:
-            yield "ud-pulling", h, 3, [
-                (p.D_p, [(CAP, p1)]),
-                (p.E_p, [(CROSS, p1 + 1), (CAP, p1)]),
-                (p.F_p, [(CAP, p1 + 1)]),
-            ]
-        if k1 == k2 == k3 == CROSS:
-            if p1 == p3 and p2 == p1 + 1:
-                yield "braid", h, 3, [
-                    (one, [(CROSS, p1 + 1), (CROSS, p1), (CROSS, p1 + 1)])
-                ]
-            elif p1 == p3 and p2 == p1 - 1:
-                yield "braid-rev", h, 3, [
-                    (one, [(CROSS, p1 - 1), (CROSS, p1), (CROSS, p1 - 1)])
-                ]
+            if span == 2:
+                swap = _swap_step(letters[h], letters[h + 1])
+                if swap is not None:
+                    odd = p.epsilon == -1 and CROSS not in (window[0][0], window[1][0])
+                    yield "swap", h, 2, [(lp_int(-1 if odd else 1), list(swap))]
 
 
 def check_local_confluence(
@@ -626,18 +627,16 @@ def check_local_confluence(
     eng = _engine_for(p)
     failures = []
 
-    def word_nf(domain, letters):
-        terms = {identity_diagram(domain): lp_int(1)}
-        return eng.push_letters(letters, terms)
-
-    def visit(domain, letters, width, lhs):
+    def visit(domain, letters, width, prefixes):
+        # prefixes[h] is the normal form of letters[:h]
+        lhs = prefixes[-1]
         for label, h, span, replacements in _relation_steps(p, tuple(letters)):
             rhs = {}
             for coeff, repl in replacements:
                 if coeff.is_zero():
                     continue
-                new_letters = letters[:h] + repl + letters[h + span :]
-                _acc(rhs, word_nf(domain, new_letters), coeff)
+                new_nf = eng.push_letters(repl + letters[h + span :], prefixes[h])
+                _acc(rhs, new_nf, coeff)
             if rhs != lhs:
                 diff = _acc(dict(lhs), _negated(rhs), lp_int(1))
                 gw = GenWord(domain, tuple(Letter(k, pos) for k, pos in letters))
@@ -650,9 +649,9 @@ def check_local_confluence(
             candidates += [(CUP, r) for r in range(1, width + 2)]
         for kind, pos in candidates:
             new_lhs = eng.push_nf(kind, pos, lhs)
-            new_width = width + (2 if kind == CUP else -2 if kind == CAP else 0)
-            visit(domain, letters + [(kind, pos)], new_width, new_lhs)
+            new_width = width + WIDTH_CHANGE[kind]
+            visit(domain, letters + [(kind, pos)], new_width, prefixes + [new_lhs])
 
     for domain in range(0, max_width + 1):
-        visit(domain, [], domain, {identity_diagram(domain): lp_int(1)})
+        visit(domain, [], domain, [{identity_diagram(domain): lp_int(1)}])
     return failures

@@ -53,6 +53,9 @@ class ExprParseError(TermError):
 
 CROSS, CAP, CUP = "cross", "cap", "cup"
 
+# output width minus input width, per letter kind
+WIDTH_CHANGE = {CROSS: 0, CAP: -2, CUP: 2}
+
 
 @dataclass(frozen=True)
 class Letter:
@@ -70,14 +73,12 @@ class Letter:
         if self.kind == CROSS:
             if self.pos > w - 1:
                 raise WidthError("crossing at %d needs width >= %d, have %d" % (self.pos, self.pos + 1, w))
-            return w
-        if self.kind == CAP:
+        elif self.kind == CAP:
             if self.pos > w - 1:
                 raise WidthError("cap at %d needs width >= %d, have %d" % (self.pos, self.pos + 1, w))
-            return w - 2
-        if self.pos > w + 1:
+        elif self.pos > w + 1:
             raise WidthError("cup at %d exceeds width %d + 1" % (self.pos, w))
-        return w + 2
+        return w + WIDTH_CHANGE[self.kind]
 
 
 @dataclass(frozen=True)

@@ -453,8 +453,11 @@ GOLDEN = [
         )
         + "\n",
     ),
-    # an expression that starts with "-" is read as if "--" preceded it
+    # an expression that starts with "-" is read as if "--" preceded it,
+    # also where its first letter names an option
     (["normalize", "-p", "bwm", "-q*id@2"], "-q * B[2,2 | 0-2 1-3]\n"),
+    (["normalize", "-p", "bwm", "-p*id@2"], "-p * B[2,2 | 0-2 1-3]\n"),
+    (["normalize", "-p", "bwm", "-h*id@2"], "-h * B[2,2 | 0-2 1-3]\n"),
 ]
 
 
@@ -462,7 +465,8 @@ GOLDEN = [
     "argv, expected",
     GOLDEN,
     ids=["tikz-word", "tikz-sum", "tikz-arcs", "tikz-exponent", "zero", "map-hflip",
-         "map-vflip", "map-rescale", "leading-minus"],
+         "map-vflip", "map-rescale", "leading-minus", "leading-minus-p",
+         "leading-minus-h"],
 )
 def test_golden_output(capsys, argv, expected):
     assert run(capsys, *argv) == (0, expected)

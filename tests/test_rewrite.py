@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from brauercalc import rewrite
-from brauercalc.coeff import lp_int, lp_parse
+from brauercalc.coeff import lp_int, lp_parse, lp_str
 from brauercalc.diagram import (
     compose_oracle,
     enumerate_diagrams,
@@ -15,7 +16,7 @@ from brauercalc.diagram import (
     standard_letters,
     tensor_oracle,
 )
-from brauercalc.params import PRESETS, preset
+from brauercalc.params import LAURENT_FIELDS, PRESETS, preset
 from brauercalc.rewrite import (
     FuelExhausted,
     InconsistentParams,
@@ -29,7 +30,18 @@ from brauercalc.rewrite import (
     normalize,
     under_cross,
 )
-from brauercalc.term import CAP, GenWord, Letter, cap, cross, cup, word
+from brauercalc.term import (
+    CAP,
+    CROSS,
+    CUP,
+    WIDTH_CHANGE,
+    GenWord,
+    Letter,
+    cap,
+    cross,
+    cup,
+    word,
+)
 
 
 BRAUER = preset("brauer")
@@ -233,12 +245,64 @@ def test_local_confluence_small_sweep():
     assert check_local_confluence(BWM, max_width=4, max_letters=3) == []
 
 
-def test_local_confluence_detects_corruption():
-    bad = dataclasses.replace(BWM, a=BWM.a + lp_int(1))
+@pytest.mark.parametrize("field", LAURENT_FIELDS)
+@pytest.mark.parametrize("name", ["bwm", "periplectic_q"])
+def test_local_confluence_detects_corruption(name, field):
+    # every one of the nineteen Laurent fields enters some relation, so
+    # adding 1 to it breaks confluence within width 4 and three letters
+    base = preset(name)
+    bad = dataclasses.replace(base, **{field: getattr(base, field) + lp_int(1)})
     fails = check_local_confluence(bad, max_width=4, max_letters=3)
     assert fails
     gw, diff = fails[0]
     assert not diff.is_zero()
+
+
+def _sweep_words(max_width, max_letters):
+    """The (domain, letters) words check_local_confluence visits, in order."""
+
+    def walk(domain, letters, width):
+        yield domain, letters
+        if len(letters) >= max_letters:
+            return
+        candidates = [(CROSS, r) for r in range(1, width)]
+        candidates += [(CAP, r) for r in range(1, width)]
+        if width + 2 <= max_width:
+            candidates += [(CUP, r) for r in range(1, width + 2)]
+        for kind, pos in candidates:
+            yield from walk(domain, letters + ((kind, pos),), width + WIDTH_CHANGE[kind])
+
+    for domain in range(max_width + 1):
+        yield from walk(domain, (), domain)
+
+
+def test_relation_steps_and_swaps_are_pinned():
+    # digests taken before the relations became a table: every step of the
+    # 6/4 sweep under bwm and periplectic_q (65,900 words), and the new
+    # letters of every swap of two letters at positions up to 11
+    steps = hashlib.sha256()
+    count = 0
+    for name in ("bwm", "periplectic_q"):
+        p = preset(name)
+        for _, letters in _sweep_words(6, 4):
+            count += 1
+            for label, h, span, rhs in rewrite._relation_steps(p, letters):
+                terms = [[lp_str(c), [list(l) for l in repl]] for c, repl in rhs]
+                steps.update((json.dumps([label, h, span, terms]) + "\n").encode())
+    assert count == 65900
+    assert steps.hexdigest() == (
+        "e0375e90c4c3a364952b8bb6b1630c2737e7edb32a38e202470934cc865d16b7"
+    )
+    swaps = hashlib.sha256()
+    for g, u in itertools.product(
+        [(kind, pos) for kind in (CROSS, CAP, CUP) for pos in range(1, 12)], repeat=2
+    ):
+        new = rewrite._swap_step(g, u)
+        new = None if new is None else [list(l) for l in new]
+        swaps.update((json.dumps([list(g), list(u), new]) + "\n").encode())
+    assert swaps.hexdigest() == (
+        "dfe9c3db703a54786c5009692764a19277a993f6842312dd59d3815837f2b5c4"
+    )
 
 
 def test_caps_pushed_on_cupless_diagrams_are_pinned():
