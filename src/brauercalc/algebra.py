@@ -10,6 +10,15 @@ presentation of the `bwm` preset and the signed presentation of the
 
 Products are written in operator order: in `x y` the factor x is stacked on
 top of y, so `x y` acts as "first y, then x".
+
+`mult_table` takes its products from `rewrite.basis_products`, a column at
+a time: the product x y is the standard word of x pushed onto y.  The basis
+words all begin with cap blocks and share most of their prefixes (End(4)'s
+105 words have 390 letters but 122 distinct non-empty prefixes), so each
+column hands all the words to the engine's `push_words`, which walks them as
+a prefix trie and pushes each shared prefix once.  A table checks its
+record's consistency once and runs on one fuel budget, like any other
+public call.
 """
 
 from __future__ import annotations
@@ -20,8 +29,8 @@ from .coeff import lp_int, lp_parse
 from .diagram import double_factorial, enumerate_diagrams, identity_diagram
 from .params import CategoryParams, preset
 from .rewrite import (
-    NormalForm,
     _normalize_unchecked,
+    basis_products,
     nf_compose,
     nf_from_diagram,
     nf_tensor,
@@ -104,10 +113,10 @@ def mult_table(n: int, p: CategoryParams, bound: int = DEFAULT_TABLE_BOUND) -> M
             "End(%d) table exceeds the bound %d; pass a larger bound" % (n, bound)
         )
     basis = list(enumerate_diagrams(n, n))
-    assert len(basis) == double_factorial(2 * n - 1)
-    nfs = [nf_from_diagram(d, p) for d in basis]
-    products = [[nf_compose(x, y) for y in nfs] for x in nfs]
-    return MultTable(n, basis, products)
+    size = len(basis)
+    assert size == double_factorial(2 * n - 1)
+    by_column = list(basis_products(basis, p))
+    return MultTable(n, basis, [by_column[i::size] for i in range(size)])
 
 
 def _prod(factors):

@@ -9,6 +9,12 @@ expression, which anchors all supersigns.
 The engine works strictly bottom to top: `normalize` folds the letters of a
 word one at a time into the engine's `push`, which knows how to stack a
 single cup, cap, or crossing on top of a diagram already in standard form.
+`push_letters` pushes one word onto a linear combination; `push_words` pushes
+many words onto one, walking them as a prefix trie so that a prefix the words
+share is pushed once.  `nf_compose` pushes the standard words of x's diagrams
+onto y that way; `nf_tensor` pushes them onto each of y's diagrams moved right
+of x's strands; `basis_products` pushes every basis word onto each basis
+diagram in turn.
 Each push is resolved by a case analysis on how the new letter meets the
 topmost cup block (or, if there are no cups, the permutation part) of the
 diagram, applying the defining relations of the category.  Signs arise only from
@@ -68,9 +74,12 @@ steps: if it lands literally on the standard word its coefficient is 1;
 otherwise the problem is turned upside down, where it becomes the flipped
 diagram's crossings and cups pushed on a single cup by the engine of the
 flipped record (`vflip_params`).  Each public call gets one budget of
-`DEFAULT_FUEL` steps, and every memo miss, in any engine the call uses,
-spends one; running out raises `FuelExhausted`, naming the key it stopped
-on.
+`DEFAULT_FUEL` steps, set by `_engine_for`, and every memo miss, in any
+engine the call uses, spends one; running out raises `FuelExhausted`,
+naming the key it stopped on.  A whole `basis_products` walk, and so a
+whole `algebra.mult_table`, is one such call: all its columns share one
+budget.  Memo hits are free, so a prefix that `push_words` shares saves
+pushes, not fuel.
 """
 
 from __future__ import annotations
@@ -264,6 +273,32 @@ class _Engine:
         for kind, pos in letters:
             terms = self.push_nf(kind, pos, terms)
         return terms
+
+    def push_words(self, words, terms: dict) -> list:
+        """For each word, its letters pushed onto terms.
+
+        The words are walked as a prefix trie, depth first (in sorted
+        order), so each edge of the trie costs one `push_nf` however many
+        words share it.  A result is a dict of its own: never terms itself,
+        nor the result of another word.
+        """
+        out = [None] * len(words)
+        path = [terms]  # path[h]: the current word's first h letters pushed
+        prev = ()
+        for i in sorted(range(len(words)), key=words.__getitem__):
+            word = words[i]
+            h = 0
+            for a, b in zip(word, prev):
+                if a != b:
+                    break
+                h += 1
+            del path[h + 1 :]
+            for kind, pos in word[h:]:
+                path.append(self.push_nf(kind, pos, path[-1]))
+            # a word that pushed no letter here (empty, or a repeat) gets a copy
+            out[i] = path[-1] if h < len(word) else dict(path[-1])
+            prev = word
+        return out
 
     # -- attaching blocks ----------------------------------------------------
 
@@ -473,25 +508,44 @@ def nf_compose(x: NormalForm, y: NormalForm) -> NormalForm:
     if x.m != y.n:
         raise WidthMismatch("compose: %d on top of %d" % (x.m, y.n))
     out = {}
-    for dx, cx in x.terms.items():
-        _acc(out, eng.push_letters(standard_letters(dx), y.terms), cx)
+    pushed = eng.push_words([standard_letters(dx) for dx in x.terms], y.terms)
+    for terms, cx in zip(pushed, x.terms.values()):
+        _acc(out, terms, cx)
     return NormalForm(y.m, x.n, out, x.params)
 
 
 def nf_tensor(x: NormalForm, y: NormalForm) -> NormalForm:
     """Place x to the left of y: (x ⊗ id) ∘ (id ⊗ y)."""
     eng = _check_pair(x, y)
+    x_words = [standard_letters(dx) for dx in x.terms]
+    ident = {identity_diagram(x.m + y.m): lp_int(1)}
     out = {}
-    for dx, cx in x.terms.items():
-        x_letters = standard_letters(dx)
-        for dy, cy in y.terms.items():
-            letters = [(k, pos + dx.m) for k, pos in standard_letters(dy)]
-            letters += x_letters
-            terms = eng.push_letters(
-                letters, {identity_diagram(dx.m + dy.m): lp_int(1)}
-            )
+    for dy, cy in y.terms.items():
+        shifted = [(k, pos + x.m) for k, pos in standard_letters(dy)]
+        below = eng.push_letters(shifted, ident)
+        for terms, cx in zip(eng.push_words(x_words, below), x.terms.values()):
             _acc(out, terms, cx * cy)
     return NormalForm(x.m + y.m, x.n + y.n, out, x.params)
+
+
+def basis_products(basis, p: CategoryParams):
+    """Yield the product x y of every two diagrams of basis, all of one
+    End(n), column by column: for each y, then for each x, both in basis
+    order.
+
+    A column is the standard words of all of basis pushed onto y at once
+    (`push_words`); beyond what its consumer keeps, one column is held at a
+    time.  The whole walk is one public call: one consistency check, one
+    budget.
+    """
+    if any((d.m, d.n) != (basis[0].m, basis[0].m) for d in basis):
+        raise WidthMismatch("basis products need diagrams of one End(n)")
+    _require_consistent(p)
+    eng = _engine_for(p)
+    words = [standard_letters(x) for x in basis]
+    for y in basis:
+        for x, terms in zip(basis, eng.push_words(words, {y: lp_int(1)})):
+            yield NormalForm(y.m, x.n, terms, p)
 
 
 def under_cross(p: CategoryParams, check: bool = True) -> NormalForm:

@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
 
+from brauercalc import rewrite
 from brauercalc.algebra import (
     AlgebraError,
     MultTable,
@@ -14,9 +17,16 @@ from brauercalc.algebra import (
     mult_table,
 )
 from brauercalc.coeff import lp_int, lp_parse
-from brauercalc.diagram import double_factorial, identity_diagram
-from brauercalc.params import preset
-from brauercalc.rewrite import nf_compose, nf_from_diagram
+from brauercalc.diagram import double_factorial, identity_diagram, standard_letters
+from brauercalc.params import PRESETS, preset
+from brauercalc.rewrite import (
+    FuelExhausted,
+    InconsistentParams,
+    nf_compose,
+    nf_from_diagram,
+    normalize,
+)
+from brauercalc.term import GenWord, Letter
 
 
 BWM = preset("bwm")
@@ -125,3 +135,90 @@ def test_table_json_is_serializable():
     data = table.to_json()
     json.dumps(data)
     assert data["n"] == 2 and len(data["products"]) == 3
+
+
+def test_an_inconsistent_record_is_refused():
+    bad = dataclasses.replace(BWM, a=BWM.a + lp_int(1))
+    with pytest.raises(InconsistentParams):
+        mult_table(2, bad)
+
+
+# sha256 of json.dumps(mult_table(4, p).to_json()), each taken when every
+# product was still one nf_compose call
+TABLE_DIGESTS = {
+    "brauer": "85dcaf6cbbab3bf6fd6af9f64c0f82fd4f2dfcd3f97d08697c570e529d4c4c02",
+    "bwm": "344c3ad506c81b1326dcd3a96aec441dc85f1fdc889e096922afaa7b07d0f7cd",
+    "periplectic": "d89b7e1d560d67db5cb9759b0106f44c0843ccc77e2063d7c16acfbfeb0b5731",
+    "periplectic_q": "448b3ad5865420fc3ffbcd559206d4e8d7be23f44a6487e3b7f88bb7034a3b73",
+    "periplectic_q_op": "2defb0d6261fcc0351b204869a456a46bf6e46d78b9d94cd27e93cda573866a6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_end4_tables_are_pinned(name):
+    data = json.dumps(mult_table(4, preset(name)).to_json())
+    assert hashlib.sha256(data.encode()).hexdigest() == TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_end3_products_are_normal_forms_of_concatenated_words(name):
+    # x y is the word of y followed by the word of x, normalized letter by
+    # letter: no shared prefixes, no push_words
+    p = preset(name)
+    table = mult_table(3, p)
+    for x, row in zip(table.basis, table.products):
+        for y, nf in zip(table.basis, row):
+            letters = standard_letters(y) + standard_letters(x)
+            w = GenWord(3, tuple(Letter(k, pos) for k, pos in letters))
+            assert nf.to_json() == normalize(w, p).to_json(), (x, y)
+
+
+def test_a_warm_table_pushes_each_shared_prefix_once(monkeypatch):
+    # End(4)'s 105 standard words have 390 letters but 122 distinct
+    # non-empty prefixes: a warm table makes one push_nf per prefix and
+    # column, where pushing every word from scratch made 105 * 390
+    mult_table(4, BWM)
+    calls = []
+    push_nf = rewrite._Engine.push_nf
+
+    def counted(self, *args):
+        calls.append(None)
+        return push_nf(self, *args)
+
+    monkeypatch.setattr(rewrite._Engine, "push_nf", counted)
+    mult_table(4, BWM)
+    assert len(calls) == 105 * 122
+
+
+def test_a_table_runs_on_one_budget(monkeypatch):
+    # a cold table spends `spent` steps in all; a budget of that many runs
+    # out on the last step, one more suffices
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    mult_table(3, BWM)
+    spent = rewrite.DEFAULT_FUEL - rewrite._fuel
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    monkeypatch.setattr(rewrite, "DEFAULT_FUEL", spent)
+    with pytest.raises(FuelExhausted):
+        mult_table(3, BWM)
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    monkeypatch.setattr(rewrite, "DEFAULT_FUEL", spent + 1)
+    mult_table(3, BWM)
+
+
+def test_products_share_no_dict():
+    table = mult_table(3, BWM)
+    before = [[nf.to_json() for nf in row] for row in table.products]
+    unit = table.basis.index(identity_diagram(3))
+    # the unit's standard word is empty: its products are the other factor
+    table.products[unit][0].terms.clear()
+    table.products[4][7].terms.clear()
+    for i, row in enumerate(table.products):
+        for j, nf in enumerate(row):
+            if (i, j) not in ((unit, 0), (4, 7)):
+                assert nf.to_json() == before[i][j], (i, j)
+    g, _ = gens(3, BWM)
+    unit_nf = nf_from_diagram(identity_diagram(3), BWM)
+    for x, y in ((unit_nf, g[0]), (g[0], unit_nf)):
+        kept = dict(y.terms)
+        nf_compose(x, y).terms.clear()
+        assert y.terms == kept

@@ -156,6 +156,23 @@ def test_inconsistent_params_exit_code(capsys, tmp_path):
         assert err == "parameter error: parameters violate: Derived\n", argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["normalize", "s(1)@2"],
+    ["compose", "s(1)@2", "s(1)@2"],
+    ["tensor", "s(1)@2", "s(1)@2"],
+    # once printed a table and exited 0
+    ["table", "2"],
+])
+def test_an_inconsistent_record_exits_4(capsys, tmp_path, argv):
+    bwm = preset("bwm")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dataclasses.replace(bwm, a=bwm.a + lp_int(1)).to_json()))
+    code = main(argv + ["--params", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("parameter error: ") and err.count("\n") == 1, err
+
+
 def test_params_file_round_trip(capsys, tmp_path):
     data = preset("periplectic_q").to_json()
     path = tmp_path / "p.json"

@@ -23,6 +23,7 @@ from brauercalc.rewrite import (
     NormalForm,
     ParamsMismatch,
     WidthMismatch,
+    basis_products,
     check_local_confluence,
     nf_compose,
     nf_from_diagram,
@@ -133,10 +134,29 @@ def test_composition_matches_loop_counting_oracle():
 
 
 def test_tensor_matches_oracle():
-    for x in enumerate_diagrams(1, 1):
-        for y in enumerate_diagrams(2, 0):
+    small = [
+        d for m in range(5) for n in range(m % 2, 5 - m, 2)
+        for d in enumerate_diagrams(m, n)
+    ]
+    for x in small:
+        for y in small:
             nf = nf_tensor(nf_from_diagram(x, BRAUER), nf_from_diagram(y, BRAUER))
-            assert nf.terms == {tensor_oracle(x, y): lp_int(1)}
+            assert nf.terms == {tensor_oracle(x, y): lp_int(1)}, (x, y)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_push_words_agrees_with_push_letters(name):
+    # words sharing prefixes, one a prefix of another, a repeat and the
+    # empty word, each pushed onto a two-term start
+    eng = rewrite._engine_for(preset(name))
+    words = [standard_letters(d) for d in enumerate_diagrams(3, 3)]
+    words += [words[5][:2], list(words[5]), []]
+    start = normalize(word(3, [cross(1)]), preset(name)).terms
+    kept = dict(start)
+    pushed = eng.push_words(words, start)
+    assert pushed == [eng.push_letters(w, start) for w in words]
+    assert start == kept
+    assert len({id(terms) for terms in pushed + [start]}) == len(words) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +386,9 @@ def test_compose_width_and_params_mismatch():
         nf_compose(x, z)
     with pytest.raises(ParamsMismatch):
         x + z
+    mixed = [identity_diagram(2), single([(0, 1)], 2, 0)]
+    with pytest.raises(WidthMismatch):
+        next(basis_products(mixed, BWM))
 
 
 def test_fuel_exhaustion_reported(monkeypatch):
