@@ -30,7 +30,13 @@ not its own upside-down image also yields that image as a `ud-` row, its
 fields exchanged with their primed partners.  Two letters on different
 strands commute by `_swap_step`.  The sweep keeps the normal form of every
 prefix of the word it visits, and pushes a replacement at height h onto the
-normal form of the h letters below it.
+normal form of the h letters below it.  It checks a relation window only at
+the word whose top letter ends it.  A normal form is a left fold of the
+linear `push_nf`, so a step whose two sides agree on `letters[:h + span]`
+agrees on every word that extends it, and is never checked again.  A step
+whose sides differ is carried up the walk: each longer word pushes its new
+letter once onto the carried right-hand side and compares again, because a
+later letter may cancel the difference.
 
     >>> from brauercalc.params import preset
     >>> for w in [((CUP, 2), (CROSS, 1)), ((CROSS, 1), (CAP, 2))]:
@@ -677,24 +683,44 @@ def check_local_confluence(
     p: CategoryParams, max_width: int = 6, max_letters: int = 4
 ) -> list:
     """Compare every one-step rewrite of every small word against direct
-    normalization.  Returns [(GenWord, difference NormalForm), ...]."""
+    normalization.  Returns [(GenWord, difference NormalForm), ...]: the
+    words in the order of a depth-first walk, and within a word by window
+    length, then height, a relation before a swap.
+
+    Each step is worked out once, at the word whose top letter ends its
+    window.  Pushing a letter is linear, so the letters above a window act
+    alike on both sides of a step: a step whose sides agree agrees on every
+    longer word, and is dropped; a step whose sides differ is carried up,
+    each new letter pushed once onto its right-hand side, and compared again
+    at every longer word, since a later letter may cancel the difference.
+    """
     eng = _engine_for(p)
     failures = []
 
-    def visit(domain, letters, width, prefixes):
-        # prefixes[h] is the normal form of letters[:h]
+    def visit(domain, letters, width, prefixes, carried):
+        # prefixes[h] is the normal form of letters[:h]; carried holds, as
+        # (span, h, is_swap, rhs), the steps below the top letter whose
+        # sides differed on the word one letter shorter; a step whose sides
+        # agree is dropped at once, not held through the longer words' walk
         lhs = prefixes[-1]
-        for label, h, span, replacements in _relation_steps(p, tuple(letters)):
+        open_steps = [step for step in carried if step[3] != lhs]
+        tail = tuple(letters[-3:])
+        below = len(letters) - len(tail)
+        for label, h, span, replacements in _relation_steps(p, tail):
+            if h + span != len(tail):
+                continue
             rhs = {}
             for coeff, repl in replacements:
                 if coeff.is_zero():
                     continue
-                new_nf = eng.push_letters(repl + letters[h + span :], prefixes[h])
-                _acc(rhs, new_nf, coeff)
+                _acc(rhs, eng.push_letters(repl, prefixes[below + h]), coeff)
             if rhs != lhs:
-                diff = _acc(dict(lhs), _negated(rhs), lp_int(1))
-                gw = GenWord(domain, tuple(Letter(k, pos) for k, pos in letters))
-                failures.append((gw, NormalForm(domain, gw.codomain, diff, p)))
+                open_steps.append((span, below + h, label == "swap", rhs))
+        open_steps.sort(key=lambda step: step[:3])
+        for *_, rhs in open_steps:
+            diff = _acc(dict(lhs), _negated(rhs), lp_int(1))
+            gw = GenWord(domain, tuple(Letter(k, pos) for k, pos in letters))
+            failures.append((gw, NormalForm(domain, gw.codomain, diff, p)))
         if len(letters) >= max_letters:
             return
         candidates = [(CROSS, r) for r in range(1, width)]
@@ -704,8 +730,15 @@ def check_local_confluence(
         for kind, pos in candidates:
             new_lhs = eng.push_nf(kind, pos, lhs)
             new_width = width + WIDTH_CHANGE[kind]
-            visit(domain, letters + [(kind, pos)], new_width, prefixes + [new_lhs])
+            pushed = [
+                (span, h, is_swap, eng.push_nf(kind, pos, rhs))
+                for span, h, is_swap, rhs in open_steps
+            ]
+            visit(
+                domain, letters + [(kind, pos)], new_width,
+                prefixes + [new_lhs], pushed,
+            )
 
     for domain in range(0, max_width + 1):
-        visit(domain, [], domain, [{identity_diagram(domain): lp_int(1)}])
+        visit(domain, [], domain, [{identity_diagram(domain): lp_int(1)}], [])
     return failures

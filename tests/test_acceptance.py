@@ -248,3 +248,22 @@ def test_10_associativity_and_superinterchange(name):
         if p.epsilon == -1 and parity(y1) and parity(x2):
             rhs = rhs.scale(lp_int(-1))
         assert lhs.terms == rhs.terms
+
+
+def test_11_basis_theorem_at_small_size_for_every_family():
+    # by the diamond lemma, local confluence is the computed evidence that
+    # Brauer diagrams are a basis: every legal instantiation of every family,
+    # its free parameters left symbolic, has no counterexample at 4/3
+    count = 0
+    for family in FAMILIES:
+        for eps in (1, -1):
+            for e, ep in legal_unit_choices(family, eps):
+                p = family_instantiate(family, eps, e, {}, e_prime=ep)
+                fails = check_local_confluence(p, max_width=4, max_letters=3)
+                assert fails == [], (family, eps, str(e), str(ep))
+                count += 1
+    assert count == 100
+    e, ep = legal_unit_choices("Cb0_l_s", 1)[0]
+    p = family_instantiate("Cb0_l_s", 1, e, {}, e_prime=ep)
+    corrupted = dataclasses.replace(p, rho=p.rho + lp_int(1))
+    assert len(check_local_confluence(corrupted, max_width=4, max_letters=3)) == 6

@@ -227,13 +227,23 @@ def test_verify_table1(capsys):
     assert data["families"] == 13 and data["inconsistent"] == 0
 
 
-def test_verify_confluence(capsys):
+def test_verify_confluence(capsys, tmp_path):
     code, out = run(
         capsys, "verify", "confluence", "-p", "bwm",
         "--max-width", "4", "--max-letters", "2",
     )
     assert code == 0
     assert json.loads(out)["counterexamples"] == 0
+    # the sweep reads an inconsistent record instead of refusing it
+    bwm = preset("bwm")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dataclasses.replace(bwm, a=bwm.a + lp_int(1)).to_json()))
+    code, out = run(
+        capsys, "verify", "confluence", "--params", str(path),
+        "--max-width", "4", "--max-letters", "4",
+    )
+    assert code == 1
+    assert json.loads(out)["counterexamples"] == 243
 
 
 def test_verify_presentation(capsys):

@@ -276,6 +276,7 @@ def test_local_confluence_detects_corruption(name, field):
     assert fails
     gw, diff = fails[0]
     assert not diff.is_zero()
+    assert _as_json(fails) == _as_json(_reference_sweep(bad, 4, 3))
 
 
 def _sweep_words(max_width, max_letters):
@@ -294,6 +295,58 @@ def _sweep_words(max_width, max_letters):
 
     for domain in range(max_width + 1):
         yield from walk(domain, (), domain)
+
+
+def _reference_sweep(p, max_width, max_letters):
+    """check_local_confluence from its definition: for every word and every
+    step on the whole word, each rewritten word normalized from the
+    identity and the sum compared with the word's own normal form."""
+
+    def as_word(domain, letters):
+        return GenWord(domain, tuple(Letter(k, pos) for k, pos in letters))
+
+    failures = []
+    for domain, letters in _sweep_words(max_width, max_letters):
+        gw = as_word(domain, letters)
+        lhs = rewrite._normalize_unchecked(gw, p)
+        for _, h, span, rhs in rewrite._relation_steps(p, letters):
+            other = NormalForm(lhs.m, lhs.n, {}, p)
+            for coeff, repl in rhs:
+                rewritten = as_word(domain, letters[:h] + tuple(repl) + letters[h + span :])
+                other = other + rewrite._normalize_unchecked(rewritten, p).scale(coeff)
+            if other.terms != lhs.terms:
+                failures.append((gw, lhs - other))
+    return failures
+
+
+def _as_json(failures):
+    return [(gw, diff.to_json()) for gw, diff in failures]
+
+
+@pytest.mark.parametrize("p, max_letters, count", [
+    (dataclasses.replace(BRAUER, epsilon=-1), 3, 3),
+    (dataclasses.replace(BWM, a=BWM.a + lp_int(1)), 4, 243),
+])
+def test_local_confluence_matches_the_reference_sweep(p, max_letters, count):
+    fails = check_local_confluence(p, max_width=4, max_letters=max_letters)
+    assert len(fails) == count
+    assert _as_json(fails) == _as_json(_reference_sweep(p, 4, max_letters))
+
+
+def test_a_warm_sweep_checks_each_window_once(monkeypatch):
+    # each relation window is checked at the word whose top letter ends it;
+    # re-checking every window of every word made 19,109 push_nf calls
+    check_local_confluence(BWM, max_width=4, max_letters=4)
+    calls = []
+    push_nf = rewrite._Engine.push_nf
+
+    def counted(self, *args):
+        calls.append(None)
+        return push_nf(self, *args)
+
+    monkeypatch.setattr(rewrite._Engine, "push_nf", counted)
+    assert check_local_confluence(BWM, max_width=4, max_letters=4) == []
+    assert len(calls) <= 6004
 
 
 def test_relation_steps_and_swaps_are_pinned():
