@@ -38,8 +38,8 @@ class BrauerDiagram:
 
     def __post_init__(self):
         total = self.m + self.n
-        if len(self.match) != total:
-            raise DiagramError("matching has wrong size")
+        if min(self.m, self.n) < 0 or len(self.match) != total:
+            raise DiagramError("negative boundary or matching of wrong size")
         for i, j in enumerate(self.match):
             if not 0 <= j < total or j == i or self.match[j] != i:
                 raise DiagramError("not a fixed-point-free involution")
@@ -143,12 +143,12 @@ def double_factorial(k: int) -> int:
 def compose_oracle(top: BrauerDiagram, bot: BrauerDiagram):
     """Stack `top` onto `bot`; return (loop count, composed diagram).
 
-    Requires top.m == bot.n.  This is an independent path-following
-    implementation used as the oracle for the rewriting engine.  A strand
-    from the outer boundary that enters the k middle dots alternates between
-    `bot.match` and `top.match` until it leaves; its end is written straight
-    into the composed matching.  Every middle dot no strand visits lies on a
-    closed loop, and each such cycle is counted once.
+    Requires top.m == bot.n.  An independent path-following implementation,
+    used only as the oracle for the rewriting engine, which never calls it.
+    A strand from the outer boundary that enters the k middle dots alternates
+    between `bot.match` and `top.match` until it leaves; its end is written
+    straight into the composed matching.  Every middle dot no strand visits
+    lies on a closed loop, and each such cycle is counted once.
     """
     if top.m != bot.n:
         raise DiagramError(
@@ -372,9 +372,50 @@ def remove_top_pair(d: BrauerDiagram, i: int, j: int) -> BrauerDiagram:
     of stacking an elementary cup block."""
     lo, hi = d.m + i - 1, d.m + j - 1
     assert d.match[lo] == hi
-    pairs = [
-        (a - (a > lo) - (a > hi), b - (b > lo) - (b > hi))
-        for a, b in enumerate(d.match)
-        if a < b and a != lo
-    ]
-    return from_pairs(d.m, d.n - 2, pairs)
+    return BrauerDiagram(d.m, d.n - 2, tuple(_drop(d.match, lo, hi)))
+
+
+def _drop(match, lo, hi):
+    """match without dots lo < hi, the dots above them renumbered down."""
+    rest = match[:lo] + match[lo + 1 : hi] + match[hi + 1 :]
+    return [k - (k > lo) - (k > hi) for k in rest]
+
+
+def stack_cup_block(d: BrauerDiagram, s: int, a: int) -> BrauerDiagram:
+    """elem_cup_block(d.n, s, a) stacked on d."""
+    if s < 0 or not 1 <= a <= d.n - s + 1:
+        raise DiagramError("cup block out of range")
+    lo, mid = d.m + a - 1, d.m + a - 1 + s  # the new pair is (lo, mid + 1)
+    mv = [k + (k >= lo) + (k >= mid) for k in d.match]
+    return BrauerDiagram(d.m, d.n + 2, (*mv[:lo], mid + 1, *mv[lo:mid], lo, *mv[mid:]))
+
+
+def stack_cross(d: BrauerDiagram, r: int) -> BrauerDiagram:
+    """elem_cross(d.n, r) stacked on the cupless d."""
+    x = d.m + r - 1
+    match = list(d.match)
+    i, j = match[x : x + 2]
+    match[x], match[x + 1], match[i], match[j] = j, i, x + 1, x
+    return BrauerDiagram(d.m, d.n, tuple(match))
+
+
+def stack_cap(d: BrauerDiagram, r: int) -> BrauerDiagram:
+    """elem_cap(d.n - 2, r) stacked on the cupless d."""
+    x = d.m + r - 1
+    i, j = d.match[x : x + 2]
+    match = _drop(d.match, x, x + 1)
+    match[i], match[j] = j, i
+    return BrauerDiagram(d.m, d.n - 2, tuple(match))
+
+
+def cap_lands_literally(d: BrauerDiagram, r: int) -> bool:
+    """Whether stack_cap(d, r) has the standard word of the cupless d, then
+    ("cap", r): the strands at top columns r, r+1 start at bottom columns r
+    and b > r, no cap of d has a foot left of r, the others keep their order."""
+    ends = d.match[d.m :]  # the bottom end of the strand at each top column
+    rest = ends[: r - 1] + ends[r + 1 :]
+    return (
+        ends[r - 1] == r - 1 < ends[r]
+        and all(d.match[k] >= d.m for k in range(r - 1))
+        and all(x < y for x, y in zip(rest, rest[1:]))
+    )

@@ -75,17 +75,17 @@ record's consistency verdict and its memo; clearing it resets everything the
 engine remembers.  The memo has two namespaces of keys
 (kind, position, diagram): a letter pushed on a diagram (kind `cross`, `cap`
 or `cup`), and a cup block that tangles with the diagram's cups (kind
-`("cupblock", spread)`).  A cap pushed on a cupless diagram is solved in two
-steps: if it lands literally on the standard word its coefficient is 1;
-otherwise the problem is turned upside down, where it becomes the flipped
-diagram's crossings and cups pushed on a single cup by the engine of the
-flipped record (`vflip_params`).  Each public call gets one budget of
-`DEFAULT_FUEL` steps, set by `_engine_for`, and every memo miss, in any
-engine the call uses, spends one; running out raises `FuelExhausted`,
-naming the key it stopped on.  A whole `basis_products` walk, and so a
-whole `algebra.mult_table`, is one such call: all its columns share one
-budget.  Memo hits are free, so a prefix that `push_words` shares saves
-pushes, not fuel.
+`("cupblock", spread)`).  A letter landing literally on the standard word
+is built from the matching (`diagram.stack_*`), never by `compose_oracle`.
+A cap pushed on a cupless diagram that does not land literally is turned
+upside down: the flipped diagram's crossings and cups are pushed on a single
+cup by the engine of the flipped record (`vflip_params`).  Each public call
+gets one budget of `DEFAULT_FUEL` steps, set by `_engine_for`, and every memo
+miss, in any engine the call uses, spends one; running out raises
+`FuelExhausted`, naming the key it stopped on.  A whole `basis_products`
+walk, and so a whole `algebra.mult_table`, is one such call: all its columns
+share one budget.  Memo hits are free, so a prefix that `push_words` shares
+saves pushes, not fuel.
 """
 
 from __future__ import annotations
@@ -95,13 +95,15 @@ from dataclasses import dataclass, replace
 from .coeff import LaurentPoly, lp_exact_div, lp_int, lp_str
 from .diagram import (
     BrauerDiagram,
-    compose_oracle,
-    elem_cap_block,
-    elem_cross,
+    cap_lands_literally,
+    compose_oracle,  # not called; bench/test_bench.py pins this import
     elem_cup_block,
     from_pairs,
     identity_diagram,
     remove_top_pair,
+    stack_cap,
+    stack_cross,
+    stack_cup_block,
     standard_letters,
     vflip_diagram,
 )
@@ -323,9 +325,7 @@ class _Engine:
             letters = [(CUP, a)] + [(CROSS, a + j) for j in range(1, s + 1)]
             key = (("cupblock", s), a, d)
             return self._memo(key, self.push_letters, letters, {d: lp_int(1)})
-        loops, d2 = compose_oracle(elem_cup_block(d.n, s, a), d)
-        assert loops == 0
-        return {d2: lp_int(self.sign(above))}
+        return {stack_cup_block(d, s, a): lp_int(self.sign(above))}
 
     def _stack_block_nf(self, terms: dict, s: int, a: int) -> dict:
         out = {}
@@ -348,7 +348,7 @@ class _Engine:
         p = self.p
         cups = d.cup_pairs()
         if not cups:
-            _, base = compose_oracle(elem_cross(d.n, r), d)
+            base = stack_cross(d, r)
             # the crossing lengthens the permutation iff the strands it
             # swaps come from bottom dots in order
             if d.match[d.m + r - 1] < d.match[d.m + r]:
@@ -400,13 +400,12 @@ class _Engine:
         p = self.p
         cups = d.cup_pairs()
         if not cups:
-            # a cap that lands literally on the standard word of d has
+            # a cap landing literally on the standard word of d has
             # coefficient 1 by definition; any other is solved upside down,
             # where the flipped d (crossings and cups only) is stacked on a
             # single cup by the engine of the flipped record
-            _, d2 = compose_oracle(elem_cap_block(d.n - 2, 0, r), d)
-            if standard_letters(d2) == standard_letters(d) + [(CAP, r)]:
-                return {d2: lp_int(1)}
+            if cap_lands_literally(d, r):
+                return {stack_cap(d, r): lp_int(1)}
             flip = _engine(vflip_params(p))
             cup = {elem_cup_block(d.n - 2, 0, r): lp_int(1)}
             terms = flip.push_letters(standard_letters(vflip_diagram(d)), cup)

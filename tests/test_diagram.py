@@ -9,6 +9,7 @@ from brauercalc.diagram import (
     DiagramError,
     apply_word,
     cap_blocks,
+    cap_lands_literally,
     compose_oracle,
     cup_blocks,
     double_factorial,
@@ -24,6 +25,9 @@ from brauercalc.diagram import (
     perm_diagram,
     permutation_canonical_word,
     remove_top_pair,
+    stack_cap,
+    stack_cross,
+    stack_cup_block,
     standard_letters,
     tensor_oracle,
     through_perm,
@@ -243,6 +247,14 @@ def test_remove_top_pair():
 def test_bad_diagrams():
     with pytest.raises(DiagramError):
         BrauerDiagram(1, 1, (0, 1))
+    # negative sizes: an empty matching has the right length when m + n = 0
+    for make in (
+        lambda: BrauerDiagram(-1, 1, ()),
+        lambda: from_pairs(3, -3, []),
+        lambda: identity_diagram(-1),
+    ):
+        with pytest.raises(DiagramError):
+            make()
     with pytest.raises(DiagramError):
         compose_oracle(identity_diagram(2), identity_diagram(3))
 
@@ -280,7 +292,8 @@ def test_crossing_lengthens_cupless_diagram_iff_its_strands_start_in_order():
 def test_cap_block_lands_literally_iff_every_cap_starts_right_of_its_foot():
     # a closed form of literal landing for a cap whose right strand crosses
     # over t middle strands, stacked on a cupless d with identity permutation
-    # part; the engine compares standard words instead
+    # part; the engine pushes plain caps only (t = 0), on any cupless d, and
+    # decides with cap_lands_literally, pinned below
     for d in _small_diagrams(10):
         if d.cup_pairs() or through_perm(d) != tuple(range(d.n)):
             continue
@@ -292,3 +305,37 @@ def test_cap_block_lands_literally_iff_every_cap_starts_right_of_its_foot():
                 literal = standard_letters(d) + block == standard_letters(d2)
                 foot = d.through_pairs()[x - 1][0]
                 assert literal == all(i > foot for i, _ in d.cap_pairs()), (d, t, x)
+
+
+def test_cap_lands_literally_iff_the_standard_word_grows_by_the_cap():
+    # the engine's closed-form test for a plain cap stacked on a cupless d
+    cases = 0
+    for d in _small_diagrams(10):
+        if d.cup_pairs():
+            continue
+        for r in range(1, d.n):
+            loops, d2 = compose_oracle(elem_cap(d.n - 2, r), d)
+            assert loops == 0
+            literal = standard_letters(d2) == standard_letters(d) + [("cap", r)]
+            assert cap_lands_literally(d, r) == literal, (d, r)
+            cases += 1
+    assert cases == 3968
+
+
+def test_literal_landings_equal_the_oracle():
+    # each builder against compose_oracle of its elementary diagram, at every
+    # legal position; remove_top_pair undoes the cup block of any top pair
+    cases = []
+    for d in _small_diagrams(8):
+        for s in range(d.n + 1):
+            for a in range(1, d.n - s + 2):
+                cases.append((stack_cup_block(d, s, a), elem_cup_block(d.n, s, a), d))
+        for i, j in d.cup_pairs():
+            assert stack_cup_block(remove_top_pair(d, i, j), j - i - 1, i) == d
+        if not d.cup_pairs():
+            for r in range(1, d.n):
+                cases.append((stack_cross(d, r), elem_cross(d.n, r), d))
+                cases.append((stack_cap(d, r), elem_cap(d.n - 2, r), d))
+    for built, elem, d in cases:
+        assert compose_oracle(elem, d) == (0, built), (elem, d)
+    assert len(cases) == 19317

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from brauercalc import rewrite
+from brauercalc import diagram, rewrite
+from brauercalc.algebra import mult_table
 from brauercalc.coeff import lp_int, lp_parse, lp_str
 from brauercalc.diagram import (
     compose_oracle,
@@ -157,6 +158,31 @@ def test_push_words_agrees_with_push_letters(name):
     assert pushed == [eng.push_letters(w, start) for w in words]
     assert start == kept
     assert len({id(terms) for terms in pushed + [start]}) == len(words) + 1
+
+
+def test_the_engine_never_calls_the_oracle(monkeypatch):
+    # the engine builds literal landings from the matching, so checks
+    # against compose_oracle stay independent of it; cold engines, so that
+    # every push is worked out here
+    def oracle(*args):
+        raise AssertionError("the engine called compose_oracle")
+
+    monkeypatch.setattr(diagram, "compose_oracle", oracle)
+    monkeypatch.setattr(rewrite, "compose_oracle", oracle)
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    words = [
+        GenWord(d.m, tuple(Letter(k, pos) for k, pos in standard_letters(d)))
+        for total in range(0, 9, 2)
+        for m in range(total + 1)
+        for d in enumerate_diagrams(m, total - m)
+    ]
+    assert len(words) == 1069
+    for name in PRESETS:
+        p = preset(name)
+        for w in words:
+            normalize(w, p)
+        mult_table(3, p)
+        check_local_confluence(p, 4, 3)
 
 
 # ---------------------------------------------------------------------------
