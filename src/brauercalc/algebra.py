@@ -19,16 +19,34 @@ column hands all the words to the engine's `push_words`, which walks them as
 a prefix trie and pushes each shared prefix once.  A table checks its
 record's consistency once and runs on one fuel budget, like any other
 public call.
+
+Each relation of a presentation is stated once, as the text reported when
+it fails.  `_Reader` evaluates each side of the text in End(n), reading the
+tokens of `coeff`'s polynomial grammar: juxtaposition composes, in operator
+order; g_k, g_k^-1 and e_k name the generators; a Laurent field of the
+record, such as delta, reads the record; any other name is a variable; and
+a scalar c means c times the identity.
+
+    >>> from brauercalc.params import preset
+    >>> lhs, rhs = (_Reader(side, 3, preset("bwm")).read()
+    ...             for side in "e_1 g_2 e_1 = v^-1 e_1".split("="))
+    >>> [(t["pairs"], t["coeff"]) for t in lhs.to_json()["terms"]]
+    [([[0, 1], [2, 5], [3, 4]], 'v^-1')]
+    >>> lhs.terms == rhs.terms
+    True
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .coeff import lp_int, lp_parse
+from .coeff import LaurentPoly, ParseError, _tokenize, lp_int
+from .coeff import _Parser as _PolyParser
 from .diagram import double_factorial, enumerate_diagrams, identity_diagram
 from .params import CategoryParams, preset
 from .rewrite import (
+    NormalForm,
     _normalize_unchecked,
     basis_products,
     nf_compose,
@@ -55,18 +73,15 @@ class UnknownPreset(AlgebraError):
 DEFAULT_TABLE_BOUND = 4
 
 
-def gens(n: int, p: CategoryParams, check: bool = True):
+def gens(n: int, p: CategoryParams):
     """Generators of End(n): crossings g_i and cup-over-cap elements e_i.
 
-    Returns (g, e) with n-1 entries each, indexed by i-1.  `check=False`
-    skips the parameter consistency check so corrupted records can still be
-    probed against a relation list.
+    Returns (g, e) with n-1 entries each, indexed by i-1.
     """
     if n < 2:
         raise WidthTooSmall("End(%d) has no crossing generators" % n)
-    norm = _normalize_unchecked if not check else normalize
-    g = [norm(word(n, [cross(i)]), p) for i in range(1, n)]
-    e = [norm(word(n, [cap(i), cup(i)]), p) for i in range(1, n)]
+    g = [normalize(word(n, [cross(i)]), p) for i in range(1, n)]
+    e = [normalize(word(n, [cap(i), cup(i)]), p) for i in range(1, n)]
     return g, e
 
 
@@ -119,128 +134,95 @@ def mult_table(n: int, p: CategoryParams, bound: int = DEFAULT_TABLE_BOUND) -> M
     return MultTable(n, basis, [by_column[i::size] for i in range(size)])
 
 
-def _prod(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = nf_compose(out, f)
-    return out
-
-
-def _combo(terms):
-    """Linear combination [(coeff, [factors])] evaluated in End(n)."""
-    total = None
-    for coeff, factors in terms:
-        nf = _prod(factors).scale(coeff)
-        total = nf if total is None else total + nf
-    return total
-
-
-def _relations_bwm(n, p):
-    one = lp_int(1)
-    v = lp_parse("v")
-    vinv = lp_parse("v^-1")
-    z = lp_parse("z")
-    g, e = gens(n, p, check=False)
-    ginv = gens_inverse(n, p, check=False)
-    ident = nf_from_diagram(identity_diagram(n), p)
-    rels = []
-    for i in range(n - 1):
-        k = i + 1
-        rels.append((
-            "(g_%d - g_%d^-1) = z(1 - e_%d)" % (k, k, k),
-            [(one, [g[i]]), (-one, [ginv[i]])],
-            [(z, [ident]), (-z, [e[i]])],
-        ))
-        rels.append(("e_%d^2 = delta e_%d" % (k, k),
-                     [(one, [e[i], e[i]])], [(p.delta, [e[i]])]))
-        rels.append(("e_%d g_%d = v e_%d" % (k, k, k),
-                     [(one, [e[i], g[i]])], [(v, [e[i]])]))
-        rels.append(("g_%d e_%d = v e_%d" % (k, k, k),
-                     [(one, [g[i], e[i]])], [(v, [e[i]])]))
-    for i in range(n - 2):
-        k = i + 1
-        rels.append(("g_%d g_%d g_%d = g_%d g_%d g_%d" % (k, k + 1, k, k + 1, k, k + 1),
-                     [(one, [g[i], g[i + 1], g[i]])],
-                     [(one, [g[i + 1], g[i], g[i + 1]])]))
-        rels.append(("e_%d e_%d e_%d = e_%d" % (k + 1, k, k + 1, k + 1),
-                     [(one, [e[i + 1], e[i], e[i + 1]])], [(one, [e[i + 1]])]))
-        rels.append(("e_%d e_%d e_%d = e_%d" % (k, k + 1, k, k),
-                     [(one, [e[i], e[i + 1], e[i]])], [(one, [e[i]])]))
-        rels.append(("g_%d g_%d e_%d = e_%d e_%d" % (k, k + 1, k, k + 1, k),
-                     [(one, [g[i], g[i + 1], e[i]])],
-                     [(one, [e[i + 1], e[i]])]))
-        rels.append(("g_%d g_%d e_%d = e_%d e_%d" % (k + 1, k, k + 1, k, k + 1),
-                     [(one, [g[i + 1], g[i], e[i + 1]])],
-                     [(one, [e[i], e[i + 1]])]))
-        rels.append(("e_%d g_%d e_%d = v^-1 e_%d" % (k, k + 1, k, k),
-                     [(one, [e[i], g[i + 1], e[i]])], [(vinv, [e[i]])]))
-        rels.append(("e_%d g_%d e_%d = v^-1 e_%d" % (k + 1, k, k + 1, k + 1),
-                     [(one, [e[i + 1], g[i], e[i + 1]])], [(vinv, [e[i + 1]])]))
-    for i in range(n - 1):
-        for j in range(n - 1):
-            if abs(i - j) >= 2:
-                rels.append(("g_%d g_%d = g_%d g_%d" % (i + 1, j + 1, j + 1, i + 1),
-                             [(one, [g[i], g[j]])], [(one, [g[j], g[i]])]))
-    return rels
-
-
-def _relations_periplectic_q(n, p):
-    one = lp_int(1)
-    q = lp_parse("q")
-    qinv = lp_parse("q^-1")
-    skein = q - qinv
-    g, e = gens(n, p, check=False)
-    ident = nf_from_diagram(identity_diagram(n), p)
-    rels = []
-    for i in range(n - 1):
-        k = i + 1
-        rels.append((
-            "(g_%d - q)(g_%d + q^-1) = 0" % (k, k),
-            [(one, [g[i], g[i]]), (-skein, [g[i]]), (-one, [ident])],
-            [(lp_int(0), [ident])],
-        ))
-        rels.append(("e_%d^2 = 0" % k, [(one, [e[i], e[i]])], [(lp_int(0), [ident])]))
-        rels.append(("e_%d g_%d = -q^-1 e_%d" % (k, k, k),
-                     [(one, [e[i], g[i]])], [(-qinv, [e[i]])]))
-        rels.append(("g_%d e_%d = q e_%d" % (k, k, k),
-                     [(one, [g[i], e[i]])], [(q, [e[i]])]))
-    for i in range(n - 2):
-        k = i + 1
-        rels.append(("g_%d g_%d g_%d = g_%d g_%d g_%d" % (k, k + 1, k, k + 1, k, k + 1),
-                     [(one, [g[i], g[i + 1], g[i]])],
-                     [(one, [g[i + 1], g[i], g[i + 1]])]))
-        rels.append(("e_%d e_%d e_%d = -e_%d" % (k + 1, k, k + 1, k + 1),
-                     [(one, [e[i + 1], e[i], e[i + 1]])], [(-one, [e[i + 1]])]))
-        rels.append(("e_%d e_%d e_%d = -e_%d" % (k, k + 1, k, k),
-                     [(one, [e[i], e[i + 1], e[i]])], [(-one, [e[i]])]))
-        rels.append((
-            "g_%d e_%d e_%d = -g_%d e_%d + (q-q^-1) e_%d e_%d"
-            % (k, k + 1, k, k + 1, k, k + 1, k),
-            [(one, [g[i], e[i + 1], e[i]])],
-            [(-one, [g[i + 1], e[i]]), (skein, [e[i + 1], e[i]])],
-        ))
-        rels.append((
-            "e_%d e_%d g_%d = -e_%d g_%d + (q-q^-1) e_%d e_%d"
-            % (k + 1, k, k + 1, k + 1, k, k + 1, k),
-            [(one, [e[i + 1], e[i], g[i + 1]])],
-            [(-one, [e[i + 1], g[i]]), (skein, [e[i + 1], e[i]])],
-        ))
-    for i in range(n - 1):
-        for j in range(n - 1):
-            if abs(i - j) >= 2:
-                rels.append(("g_%d g_%d = g_%d g_%d" % (i + 1, j + 1, j + 1, i + 1),
-                             [(one, [g[i], g[j]])], [(one, [g[j], g[i]])]))
-                rels.append(("g_%d e_%d = e_%d g_%d" % (i + 1, j + 1, j + 1, i + 1),
-                             [(one, [g[i], e[j]])], [(one, [e[j], g[i]])]))
-                rels.append(("e_%d e_%d = e_%d e_%d" % (i + 1, j + 1, j + 1, i + 1),
-                             [(one, [e[i], e[j]])], [(one, [e[j], e[i]])]))
-    return rels
-
-
+# The relations of each presentation, each stated once with index letters;
+# `_relations` expands them at a width n
 _PRESENTATIONS = {
-    "bwm": _relations_bwm,
-    "periplectic_q": _relations_periplectic_q,
+    "bwm": (
+        "(g_i - g_i^-1) = z(1 - e_i)",
+        "e_i^2 = delta e_i",
+        "e_i g_i = v e_i",
+        "g_i e_i = v e_i",
+        "g_i g_j g_i = g_j g_i g_j",
+        "e_j e_i e_j = e_j",
+        "e_i e_j e_i = e_i",
+        "g_i g_j e_i = e_j e_i",
+        "g_j g_i e_j = e_i e_j",
+        "e_i g_j e_i = v^-1 e_i",
+        "e_j g_i e_j = v^-1 e_j",
+        "g_i g_k = g_k g_i",
+    ),
+    "periplectic_q": (
+        "(g_i - q)(g_i + q^-1) = 0",
+        "e_i^2 = 0",
+        "e_i g_i = -q^-1 e_i",
+        "g_i e_i = q e_i",
+        "g_i g_j g_i = g_j g_i g_j",
+        "e_j e_i e_j = -e_j",
+        "e_i e_j e_i = -e_i",
+        "g_i e_j e_i = -g_j e_i + (q-q^-1) e_j e_i",
+        "e_j e_i g_j = -e_j g_i + (q-q^-1) e_j e_i",
+        "g_i g_k = g_k g_i",
+        "g_i e_k = e_k g_i",
+        "e_i e_k = e_k e_i",
+    ),
 }
+
+_INDEX = re.compile(r"_([ijk])\b")
+
+
+def _relations(rows, n):
+    """Each row with its index letters substituted: a row naming only i runs
+    over i = 1..n-1, one naming j sets j = i+1 for i = 1..n-2, and one naming
+    k runs over the ordered pairs with |i - k| >= 2.  The groups come in that
+    order; within each, the index loop is outside the row loop."""
+    for letter, bindings in (
+        ("i", [{"i": i} for i in range(1, n)]),
+        ("j", [{"i": i, "j": i + 1} for i in range(1, n - 1)]),
+        ("k", [{"i": i, "k": k} for i in range(1, n) for k in range(1, n)
+               if abs(i - k) >= 2]),
+    ):
+        group = [row for row in rows if max(_INDEX.findall(row)) == letter]
+        for b in bindings:
+            for row in group:
+                yield _INDEX.sub(lambda m: "_%d" % b[m.group(1)], row)
+
+
+class _Reader(_PolyParser):
+    """One side of a relation text, read into End(n) under the record p."""
+
+    def __init__(self, text, n, p):
+        super().__init__(_tokenize(text))
+        self.n, self.p = n, p
+        self.one = nf_from_diagram(identity_diagram(n), p)
+        self.fields = {k: v for k, v in vars(p).items() if isinstance(v, LaurentPoly)}
+
+    def read(self):
+        out = self.parse_expr()
+        if self.pos != len(self.toks):
+            raise ParseError("trailing input after relation side")
+        return out
+
+    def parse_term(self):
+        out = self.parse_factor()
+        while self.peek()[0] in ("name", "num") or self.peek() == ("op", "("):
+            out = nf_compose(out, self.parse_factor())
+        return out
+
+    def parse_factor(self):
+        k, v = self.peek()
+        x = super().parse_factor()
+        if isinstance(x, NormalForm):  # a negated factor or a bracket
+            return x
+        if k == "name" and v[:2] in ("g_", "e_"):
+            (((_, power),),) = x.terms  # x is the monomial v^power
+            i = int(v[2:])
+            if not 1 <= i < self.n or (power < 0 and (v[0], power) != ("g", -1)):
+                raise AlgebraError("no %s^%d in End(%d)" % (v, power, self.n))
+            if power == -1:
+                return gens_inverse(self.n, self.p, check=False)[i - 1]
+            letters = [cross(i)] if v[0] == "g" else [cap(i), cup(i)]
+            return _normalize_unchecked(word(self.n, letters * power), self.p)
+        return self.one.scale(x.substitute(self.fields))
 
 
 def check_presentation(preset_name: str, n: int, params: CategoryParams = None) -> list:
@@ -256,7 +238,8 @@ def check_presentation(preset_name: str, n: int, params: CategoryParams = None) 
         raise AlgebraError("presentation checks need n in {3, 4}, got %d" % n)
     p = preset(preset_name) if params is None else params
     failed = []
-    for label, lhs, rhs in _PRESENTATIONS[preset_name](n, p):
-        if _combo(lhs).terms != _combo(rhs).terms:
+    for label in _relations(_PRESENTATIONS[preset_name], n):
+        lhs, rhs = (_Reader(side, n, p).read() for side in label.split("="))
+        if lhs.terms != rhs.terms:
             failed.append(label)
     return failed

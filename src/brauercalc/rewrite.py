@@ -72,20 +72,21 @@ compared by identity first and by value second.
 
 `_ENGINES` maps each parameter record to its engine, which holds the
 record's consistency verdict and its memo; clearing it resets everything the
-engine remembers.  The memo has two namespaces of keys
-(kind, position, diagram): a letter pushed on a diagram (kind `cross`, `cap`
-or `cup`), and a cup block that tangles with the diagram's cups (kind
-`("cupblock", spread)`).  A letter landing literally on the standard word
-is built from the matching (`diagram.stack_*`), never by `compose_oracle`.
-A cap pushed on a cupless diagram that does not land literally is turned
-upside down: the flipped diagram's crossings and cups are pushed on a single
-cup by the engine of the flipped record (`vflip_params`).  Each public call
-gets one budget of `DEFAULT_FUEL` steps, set by `_engine_for`, and every memo
-miss, in any engine the call uses, spends one; running out raises
-`FuelExhausted`, naming the key it stopped on.  A whole `basis_products`
-walk, and so a whole `algebra.mult_table`, is one such call: all its columns
-share one budget.  Memo hits are free, so a prefix that `push_words` shares
-saves pushes, not fuel.
+engine remembers.  The memo has one namespace of keys (kind, position,
+diagram): a letter of kind `cross`, `cap` or `cup` pushed on a diagram.  A
+cup block that tangles with the diagram's cups is pushed a letter at a
+time, so it spends fuel through its letters' misses.  A letter landing
+literally on the standard word is built from the matching
+(`diagram.stack_*`), never by `compose_oracle`.  A cap pushed on a cupless
+diagram that does not land literally is turned upside down: the flipped
+diagram's crossings and cups are pushed on a single cup by the engine of the
+flipped record (`vflip_params`).  Each public call gets one budget of
+`DEFAULT_FUEL` steps, set by `_engine_for`, and every memo miss, in any
+engine the call uses, spends one; running out raises `FuelExhausted`,
+naming the key it stopped on.  A whole `basis_products` walk, and so a whole
+`algebra.mult_table`, is one such call: all its columns share one budget,
+which a call made between two of its yields does not touch.  Memo hits are
+free, so a prefix that `push_words` shares saves pushes, not fuel.
 """
 
 from __future__ import annotations
@@ -163,8 +164,11 @@ class NormalForm:
             _add_term(out, d, c)
         return NormalForm(self.m, self.n, out, self.params)
 
+    def __neg__(self) -> "NormalForm":
+        return replace(self, terms=_negated(self.terms))
+
     def __sub__(self, other: "NormalForm") -> "NormalForm":
-        return self + replace(other, terms=_negated(other.terms))
+        return self + -other
 
     def to_json(self) -> dict:
         items = sorted((d.pairs(), lp_str(c)) for d, c in self.terms.items())
@@ -242,19 +246,17 @@ class _Engine:
         """epsilon^t."""
         return -1 if (self.eps == -1 and t % 2 == 1) else 1
 
-    def _memo(self, key, compute, *args) -> dict:
-        """The memoized value of compute(*args) under key; a miss spends one
-        step of the budget."""
-        hit = self.cache.get(key)
-        if hit is None:
-            _tick(key)
-            hit = self.cache[key] = compute(*args)
-        return hit
-
     # -- entry points -------------------------------------------------------
 
     def push(self, kind: str, pos: int, d: BrauerDiagram) -> dict:
-        return self._memo((kind, pos, d), self._push_cases, kind, pos, d)
+        """The memoized normal form of the letter stacked on d; a miss spends
+        one step of the budget."""
+        key = (kind, pos, d)
+        hit = self.cache.get(key)
+        if hit is None:
+            _tick(key)
+            hit = self.cache[key] = self._push_cases(kind, pos, d)
+        return hit
 
     def _push_cases(self, kind: str, pos: int, d: BrauerDiagram) -> dict:
         if kind == CUP:
@@ -323,8 +325,7 @@ class _Engine:
         above = sum(1 for i, _ in d.cup_pairs() if i >= a)
         if s and above:
             letters = [(CUP, a)] + [(CROSS, a + j) for j in range(1, s + 1)]
-            key = (("cupblock", s), a, d)
-            return self._memo(key, self.push_letters, letters, {d: lp_int(1)})
+            return self.push_letters(letters, {d: lp_int(1)})
         return {stack_cup_block(d, s, a): lp_int(self.sign(above))}
 
     def _stack_block_nf(self, terms: dict, s: int, a: int) -> dict:
@@ -541,15 +542,21 @@ def basis_products(basis, p: CategoryParams):
     A column is the standard words of all of basis pushed onto y at once
     (`push_words`); beyond what its consumer keeps, one column is held at a
     time.  The whole walk is one public call: one consistency check, one
-    budget.
+    budget, kept across yields: a public call made between two yields gets
+    a budget of its own and leaves the walk's untouched.
     """
+    global _fuel
     if any((d.m, d.n) != (basis[0].m, basis[0].m) for d in basis):
         raise WidthMismatch("basis products need diagrams of one End(n)")
     _require_consistent(p)
     eng = _engine_for(p)
     words = [standard_letters(x) for x in basis]
+    fuel = _fuel
     for y in basis:
-        for x, terms in zip(basis, eng.push_words(words, {y: lp_int(1)})):
+        _fuel = fuel
+        column = eng.push_words(words, {y: lp_int(1)})
+        fuel = _fuel
+        for x, terms in zip(basis, column):
             yield NormalForm(y.m, x.n, terms, p)
 
 

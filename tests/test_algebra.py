@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from brauercalc import rewrite
+from brauercalc import algebra, rewrite
 from brauercalc.algebra import (
     AlgebraError,
     MultTable,
@@ -16,8 +16,13 @@ from brauercalc.algebra import (
     gens_inverse,
     mult_table,
 )
-from brauercalc.coeff import lp_int, lp_parse
-from brauercalc.diagram import double_factorial, identity_diagram, standard_letters
+from brauercalc.coeff import InexactDivision, LaurentPoly, lp_int, lp_parse
+from brauercalc.diagram import (
+    double_factorial,
+    enumerate_diagrams,
+    identity_diagram,
+    standard_letters,
+)
 from brauercalc.params import PRESETS, preset
 from brauercalc.rewrite import (
     FuelExhausted,
@@ -26,7 +31,7 @@ from brauercalc.rewrite import (
     nf_from_diagram,
     normalize,
 )
-from brauercalc.term import GenWord, Letter
+from brauercalc.term import GenWord, Letter, cap, cross, word
 
 
 BWM = preset("bwm")
@@ -41,6 +46,8 @@ def test_gens_shapes_and_width_guard():
         assert (nf.m, nf.n) == (3, 3)
     with pytest.raises(WidthTooSmall):
         gens(1, BWM)
+    with pytest.raises(InconsistentParams):
+        gens(3, dataclasses.replace(BWM, rho=lp_parse("v")))
 
 
 def test_gens_inverse_inverts():
@@ -128,6 +135,66 @@ def test_corrupted_rho_fails_the_expected_relation():
     assert "e_1 g_2 e_1 = v^-1 e_1" in failed
 
 
+# sha256 of the ordered labels, "\n"-joined, each taken when every relation
+# was written out twice: once as its label, once as the lists it checked
+LABEL_DIGESTS = {
+    ("bwm", 3): "70ac808a49975d8efe73a711f87aa14094809b0120b99b010d05aeffcd9728ff",
+    ("bwm", 4): "6b74d3c9c5adeba3e3dc19bd60de122b188c3b9ec810db157133692a93460191",
+    ("periplectic_q", 3): "6342ca102b578badb5715e5acc7e9154eea5bfcebfd759021b742614ca5bcd7f",
+    ("periplectic_q", 4): "a413a6b43b43af8deb742e2b54d47f8a82dc98474663f9276542c1a99ac9c519",
+}
+
+# sha256 of json.dumps({field: check_presentation(name, n, that field + 1)})
+# over the record's Laurent fields, taken at the same time
+MUTATION_DIGESTS = {
+    ("bwm", 3): "64d18e8718c184753d3900596c3824b7fa4f8e6899418b9f5185252e33b5a45e",
+    ("bwm", 4): "856ee69adaf3e91153bbec5cf0c7e69aedab054aa809f261a71ceae90edfb282",
+    ("periplectic_q", 3): "633fb2bb2ad006889be3de9d705b1f57e09661c645fd914aebe77cb2d28bec4e",
+    ("periplectic_q", 4): "36c10af21af476d7c1b334eb67025ea7d355504afb2239c4c3fdcc19915773ba",
+}
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, n", sorted(LABEL_DIGESTS))
+def test_relation_labels_are_pinned(name, n):
+    labels = list(algebra._relations(algebra._PRESENTATIONS[name], n))
+    assert _digest("\n".join(labels)) == LABEL_DIGESTS[name, n]
+
+
+@pytest.mark.parametrize("name, n", sorted(MUTATION_DIGESTS))
+def test_each_field_mutation_fails_the_pinned_relations(name, n):
+    p = preset(name)
+    failed = {}
+    for f in dataclasses.fields(p):
+        value = getattr(p, f.name)
+        if isinstance(value, LaurentPoly):
+            bad = dataclasses.replace(p, **{f.name: value + lp_int(1)})
+            try:
+                failed[f.name] = check_presentation(name, n, params=bad)
+            except InexactDivision:  # bwm's g_k^-1 divides by lam + 1
+                failed[f.name] = "InexactDivision"
+    assert _digest(json.dumps(failed)) == MUTATION_DIGESTS[name, n]
+
+
+@pytest.mark.parametrize("name, n", sorted(LABEL_DIGESTS))
+def test_no_side_reads_a_generator_as_a_variable(name, n):
+    p = preset(name)
+    for label in algebra._relations(algebra._PRESENTATIONS[name], n):
+        for side in label.split("="):
+            nf = algebra._Reader(side, n, p).read()
+            for c in nf.terms.values():
+                assert not {v for v in c.variables() if v[:2] in ("g_", "e_")}, label
+
+
+def test_a_wrong_row_is_reported(monkeypatch):
+    rows = algebra._PRESENTATIONS["bwm"] + ("e_i g_i = v^-1 e_i",)
+    monkeypatch.setitem(algebra._PRESENTATIONS, "bwm", rows)
+    assert check_presentation("bwm", 3) == ["e_1 g_1 = v^-1 e_1", "e_2 g_2 = v^-1 e_2"]
+
+
 def test_table_json_is_serializable():
     import json
 
@@ -203,6 +270,23 @@ def test_a_table_runs_on_one_budget(monkeypatch):
     monkeypatch.setattr(rewrite, "_ENGINES", {})
     monkeypatch.setattr(rewrite, "DEFAULT_FUEL", spent + 1)
     mult_table(3, BWM)
+
+
+def test_a_call_between_two_yields_leaves_the_walk_budget(monkeypatch):
+    # a cold End(3) walk spends `spent` steps; a normalize made between two
+    # of its yields gets a budget of its own, so a budget of exactly `spent`
+    # still runs out on the walk's last step
+    basis = list(enumerate_diagrams(3, 3))
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    list(rewrite.basis_products(basis, BWM))
+    spent = rewrite.DEFAULT_FUEL - rewrite._fuel
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    monkeypatch.setattr(rewrite, "DEFAULT_FUEL", spent)
+    with pytest.raises(FuelExhausted):
+        for count, _ in enumerate(rewrite.basis_products(basis, BWM)):
+            if count == 20:
+                # another record's engine: the walk's memo stays cold
+                normalize(word(3, [cross(1), cap(2)]), BRAUER)
 
 
 def test_products_share_no_dict():
