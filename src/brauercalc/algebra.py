@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .coeff import LaurentPoly, ParseError, _tokenize, lp_int
+from .coeff import InexactDivision, LaurentPoly, ParseError, _tokenize, lp_int
 from .coeff import _Parser as _PolyParser
 from .diagram import double_factorial, enumerate_diagrams, identity_diagram
 from .params import CategoryParams, preset
@@ -229,8 +229,10 @@ def check_presentation(preset_name: str, n: int, params: CategoryParams = None) 
     """Verify a named defining relation list inside End(n).
 
     Returns the labels of the relations that fail; [] means the presentation
-    holds.  `params` overrides the preset's parameter record (for corruption
-    experiments) but keeps its relation list.
+    holds.  A relation also fails when a side cannot be evaluated: under a
+    record whose crossing has no inverse over the Laurent polynomials, every
+    relation naming g_k^-1 does.  `params` overrides the preset's parameter
+    record (for corruption experiments) but keeps its relation list.
     """
     if preset_name not in _PRESENTATIONS:
         raise UnknownPreset("no presentation named %r" % preset_name)
@@ -239,7 +241,11 @@ def check_presentation(preset_name: str, n: int, params: CategoryParams = None) 
     p = preset(preset_name) if params is None else params
     failed = []
     for label in _relations(_PRESENTATIONS[preset_name], n):
-        lhs, rhs = (_Reader(side, n, p).read() for side in label.split("="))
+        try:
+            lhs, rhs = (_Reader(side, n, p).read() for side in label.split("="))
+        except InexactDivision:  # g_k^-1 is no Laurent polynomial under p
+            failed.append(label)
+            continue
         if lhs.terms != rhs.terms:
             failed.append(label)
     return failed

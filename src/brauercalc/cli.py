@@ -5,8 +5,8 @@ Subcommands: normalize, compose, tensor, table, verify, classify, map,
 render.  Parameters come from `--preset NAME` or `--params FILE.json`
 (never from the environment).  Exit codes: 0 success / all checks pass,
 1 a verification found counterexamples or the engine ran out of its step
-budget (one `engine error:` line on stderr), 2 expression or input parse
-error, 3 width error, 4 inconsistent parameters.
+budget or of Python's recursion depth (one `engine error:` line on stderr),
+2 expression or input parse error, 3 width error, 4 inconsistent parameters.
 """
 
 from __future__ import annotations
@@ -545,6 +545,15 @@ def main(argv=None):
         return EXIT_PARSE
     except FuelExhausted as ex:
         print("engine error: %s" % ex, file=sys.stderr)
+        return EXIT_FAIL
+    except RecursionError:
+        # the parsers report their own; this one is the engine's, which
+        # recurses once per cup a letter passes
+        print(
+            "engine error: recursion depth of %d exhausted; the word is too "
+            "deep for the engine" % sys.getrecursionlimit(),
+            file=sys.stderr,
+        )
         return EXIT_FAIL
 
 

@@ -70,23 +70,24 @@ compared by identity first and by value second.
     ...
     brauercalc.rewrite.ParamsMismatch: normal forms built with different parameters
 
-`_ENGINES` maps each parameter record to its engine, which holds the
-record's consistency verdict and its memo; clearing it resets everything the
-engine remembers.  The memo has one namespace of keys (kind, position,
-diagram): a letter of kind `cross`, `cap` or `cup` pushed on a diagram.  A
-cup block that tangles with the diagram's cups is pushed a letter at a
-time, so it spends fuel through its letters' misses.  A letter landing
-literally on the standard word is built from the matching
-(`diagram.stack_*`), never by `compose_oracle`.  A cap pushed on a cupless
-diagram that does not land literally is turned upside down: the flipped
-diagram's crossings and cups are pushed on a single cup by the engine of the
-flipped record (`vflip_params`).  Each public call gets one budget of
-`DEFAULT_FUEL` steps, set by `_engine_for`, and every memo miss, in any
-engine the call uses, spends one; running out raises `FuelExhausted`,
-naming the key it stopped on.  A whole `basis_products` walk, and so a whole
-`algebra.mult_table`, is one such call: all its columns share one budget,
-which a call made between two of its yields does not touch.  Memo hits are
-free, so a prefix that `push_words` shares saves pushes, not fuel.
+`_ENGINES` maps each parameter record to what the engine remembers of it:
+its consistency verdict and its memo.  Clearing it resets both.  The memo
+has one namespace of keys (kind, position, diagram): a letter of kind
+`cross`, `cap` or `cup` pushed on a diagram.  A cup block that tangles with
+the diagram's cups is pushed a letter at a time, so it spends fuel through
+its letters' misses.  A letter landing literally on the standard word is
+built from the matching (`diagram.stack_*`), never by `compose_oracle`.  A
+cap pushed on a cupless diagram that does not land literally is turned
+upside down: the flipped diagram's crossings and cups are pushed on a single
+cup under the flipped record (`vflip_params`).  Each public call builds one
+`_Engine`, which reads its record's memo from `_ENGINES` and holds a budget
+of `DEFAULT_FUEL` steps of its own.  Every memo miss spends one step, also a
+miss of the flip engine, which the call's engine builds once and which
+spends from the same budget.  Running out raises `FuelExhausted`, naming the
+budget and the key it stopped on.  A whole `basis_products` walk, and so a
+whole `algebra.mult_table`, is one such call: its columns share its engine's
+budget, which a call made between two of its yields does not touch.  Memo
+hits are free, so a prefix that `push_words` shares saves pushes, not fuel.
 """
 
 from __future__ import annotations
@@ -216,31 +217,25 @@ def _negated(terms: dict) -> dict:
 # The engine
 
 
-_fuel = DEFAULT_FUEL  # steps left in the current public call
+class _Memo:
+    """What `_ENGINES` keeps of one record across calls."""
 
-
-def _tick(key):
-    """Spend one step on the memo key (kind, position, diagram)."""
-    global _fuel
-    _fuel -= 1
-    if _fuel <= 0:
-        kind, pos, d = key
-        raise FuelExhausted(
-            "step budget of %d exhausted pushing %s at %d on %s; engine defect"
-            % (DEFAULT_FUEL, kind, pos, d)
-        )
+    def __init__(self):
+        self.cache = {}
+        self.violations = None  # check_consistency(params), once computed
 
 
 class _Engine:
-    """Memoized letter-pushing for one parameter record."""
+    """Memoized letter-pushing for one public call under one parameter
+    record: the record's memo, and a step budget of the call's own."""
 
-    def __init__(self, params: CategoryParams):
+    def __init__(self, params: CategoryParams, root: _Engine = None):
         self.p = params
-        self.violations = None  # check_consistency(params), once computed
         self.eps = params.epsilon
-        self.e_poly = LaurentPoly.const(params.e)
-        self.ep_poly = LaurentPoly.const(params.e_prime)
-        self.cache = {}
+        self.cache = _engine(params).cache
+        self.root = root or self  # the engine whose budget this one spends
+        self.budget = self.fuel = DEFAULT_FUEL  # the size, and the steps left
+        self.flip = None  # the engine of vflip_params(params), once needed
 
     def sign(self, t: int) -> int:
         """epsilon^t."""
@@ -250,13 +245,23 @@ class _Engine:
 
     def push(self, kind: str, pos: int, d: BrauerDiagram) -> dict:
         """The memoized normal form of the letter stacked on d; a miss spends
-        one step of the budget."""
+        one step of the call's budget."""
         key = (kind, pos, d)
         hit = self.cache.get(key)
         if hit is None:
-            _tick(key)
+            self.root._spend(key)
             hit = self.cache[key] = self._push_cases(kind, pos, d)
         return hit
+
+    def _spend(self, key):
+        """Spend one step on the memo key (kind, position, diagram)."""
+        self.fuel -= 1
+        if self.fuel <= 0:
+            kind, pos, d = key
+            raise FuelExhausted(
+                "step budget of %d exhausted pushing %s at %d on %s; engine defect"
+                % (self.budget, kind, pos, d)
+            )
 
     def _push_cases(self, kind: str, pos: int, d: BrauerDiagram) -> dict:
         if kind == CUP:
@@ -375,7 +380,7 @@ class _Engine:
                 rest_nf,
             )
             out = _acc({}, dterm, p.d)
-            _acc(out, self._stack_block(rest, s1 + 1, a1 - 1), self.e_poly)
+            _acc(out, self._stack_block(rest, s1 + 1, a1 - 1), _coeff(p, "e"))
             _add_term(out, d, p.f)
             return out
         if r == a1 and s1 == 0:
@@ -404,12 +409,13 @@ class _Engine:
             # a cap landing literally on the standard word of d has
             # coefficient 1 by definition; any other is solved upside down,
             # where the flipped d (crossings and cups only) is stacked on a
-            # single cup by the engine of the flipped record
+            # single cup under the flipped record, on this call's budget
             if cap_lands_literally(d, r):
                 return {stack_cap(d, r): lp_int(1)}
-            flip = _engine(vflip_params(p))
+            if self.flip is None:
+                self.flip = _Engine(vflip_params(p), self.root)
             cup = {elem_cup_block(d.n - 2, 0, r): lp_int(1)}
-            terms = flip.push_letters(standard_letters(vflip_diagram(d)), cup)
+            terms = self.flip.push_letters(standard_letters(vflip_diagram(d)), cup)
             return {vflip_diagram(k): v for k, v in terms.items()}
 
         left, right = max(cups)  # the topmost cup block
@@ -440,7 +446,7 @@ class _Engine:
             base = self._stack_block(rest, s1 - 1, a1)
             out = _acc({}, self.push_nf(CAP, a1 + s1, base), p.d_p)
             mid = self.push_nf(CROSS, a1 + s1 + 1, base)
-            _acc(out, self.push_nf(CAP, a1 + s1, mid), self.ep_poly)
+            _acc(out, self.push_nf(CAP, a1 + s1, mid), _coeff(p, "e_prime"))
             return _acc(out, self.push_nf(CAP, a1 + s1 + 1, base), p.f_p)
         if r == a1 + s1:
             # cap undoes the cascade's top crossing: upside-down untwisting
@@ -463,29 +469,23 @@ class _Engine:
 # ---------------------------------------------------------------------------
 # Public API
 
-_ENGINES = {}  # CategoryParams -> _Engine
+_ENGINES = {}  # CategoryParams -> _Memo
 
 
-def _engine(p: CategoryParams) -> _Engine:
-    eng = _ENGINES.get(p)
-    if eng is None:
-        eng = _ENGINES[p] = _Engine(p)
-    return eng
-
-
-def _engine_for(p: CategoryParams) -> _Engine:
-    """The engine of p, with a fresh step budget for one public call."""
-    global _fuel
-    _fuel = DEFAULT_FUEL
-    return _engine(p)
+def _engine(p: CategoryParams) -> _Memo:
+    """The registry entry of p: its memo and consistency verdict."""
+    memo = _ENGINES.get(p)
+    if memo is None:
+        memo = _ENGINES[p] = _Memo()
+    return memo
 
 
 def _require_consistent(p: CategoryParams):
-    eng = _engine(p)
-    if eng.violations is None:
-        eng.violations = check_consistency(p)
-    if eng.violations:
-        raise InconsistentParams("parameters violate: %s" % ", ".join(eng.violations))
+    memo = _engine(p)
+    if memo.violations is None:
+        memo.violations = check_consistency(p)
+    if memo.violations:
+        raise InconsistentParams("parameters violate: %s" % ", ".join(memo.violations))
 
 
 def normalize(w: GenWord, p: CategoryParams) -> NormalForm:
@@ -495,7 +495,7 @@ def normalize(w: GenWord, p: CategoryParams) -> NormalForm:
 
 
 def _normalize_unchecked(w: GenWord, p: CategoryParams):
-    eng = _engine_for(p)
+    eng = _Engine(p)
     terms = {identity_diagram(w.domain): lp_int(1)}
     for letter in w.letters:
         terms = eng.push_nf(letter.kind, letter.pos, terms)
@@ -503,9 +503,9 @@ def _normalize_unchecked(w: GenWord, p: CategoryParams):
 
 
 def _check_pair(x: NormalForm, y: NormalForm) -> _Engine:
-    """The engine of the record x and y share, for one public call."""
+    """An engine for one public call under the record x and y share."""
     _same_params(x, y)
-    return _engine_for(x.params)
+    return _Engine(x.params)
 
 
 def nf_compose(x: NormalForm, y: NormalForm) -> NormalForm:
@@ -541,21 +541,18 @@ def basis_products(basis, p: CategoryParams):
 
     A column is the standard words of all of basis pushed onto y at once
     (`push_words`); beyond what its consumer keeps, one column is held at a
-    time.  The whole walk is one public call: one consistency check, one
-    budget, kept across yields: a public call made between two yields gets
-    a budget of its own and leaves the walk's untouched.
+    time.  The whole walk is one public call: one consistency check and one
+    engine, whose budget all the columns spend.  A public call made between
+    two yields builds an engine and a budget of its own, and leaves the
+    walk's untouched.
     """
-    global _fuel
     if any((d.m, d.n) != (basis[0].m, basis[0].m) for d in basis):
         raise WidthMismatch("basis products need diagrams of one End(n)")
     _require_consistent(p)
-    eng = _engine_for(p)
+    eng = _Engine(p)
     words = [standard_letters(x) for x in basis]
-    fuel = _fuel
     for y in basis:
-        _fuel = fuel
         column = eng.push_words(words, {y: lp_int(1)})
-        fuel = _fuel
         for x, terms in zip(basis, column):
             yield NormalForm(y.m, x.n, terms, p)
 
@@ -700,7 +697,7 @@ def check_local_confluence(
     each new letter pushed once onto its right-hand side, and compared again
     at every longer word, since a later letter may cancel the difference.
     """
-    eng = _engine_for(p)
+    eng = _Engine(p)
     failures = []
 
     def visit(domain, letters, width, prefixes, carried):

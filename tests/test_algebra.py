@@ -164,6 +164,35 @@ def test_relation_labels_are_pinned(name, n):
     assert _digest("\n".join(labels)) == LABEL_DIGESTS[name, n]
 
 
+# The relations that bwm with lam + 1 fails.  The crossing's inverse divides
+# by lam, so no relation naming g_k^-1 can be evaluated, and each fails; the
+# others fail as they compute.
+BWM_LAM_PLUS_1_FAILS = {
+    3: [
+        "(g_1 - g_1^-1) = z(1 - e_1)", "g_1 e_1 = v e_1",
+        "(g_2 - g_2^-1) = z(1 - e_2)", "g_2 e_2 = v e_2",
+        "g_2 g_1 e_2 = e_1 e_2", "e_2 g_1 e_2 = v^-1 e_2",
+    ],
+    4: [
+        "(g_1 - g_1^-1) = z(1 - e_1)", "g_1 e_1 = v e_1",
+        "(g_2 - g_2^-1) = z(1 - e_2)", "g_2 e_2 = v e_2",
+        "(g_3 - g_3^-1) = z(1 - e_3)", "g_3 e_3 = v e_3",
+        "g_2 g_1 e_2 = e_1 e_2", "e_2 g_1 e_2 = v^-1 e_2",
+        "g_3 g_2 e_3 = e_2 e_3", "e_3 g_2 e_3 = v^-1 e_3",
+    ],
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_relation_whose_side_cannot_be_evaluated_fails(n):
+    # under_cross raises InexactDivision for this record; check_presentation
+    # reports the relations that need it instead of raising
+    bad = dataclasses.replace(BWM, lam=BWM.lam + lp_int(1))
+    with pytest.raises(InexactDivision):
+        gens_inverse(n, bad, check=False)
+    assert check_presentation("bwm", n, params=bad) == BWM_LAM_PLUS_1_FAILS[n]
+
+
 @pytest.mark.parametrize("name, n", sorted(MUTATION_DIGESTS))
 def test_each_field_mutation_fails_the_pinned_relations(name, n):
     p = preset(name)
@@ -172,10 +201,13 @@ def test_each_field_mutation_fails_the_pinned_relations(name, n):
         value = getattr(p, f.name)
         if isinstance(value, LaurentPoly):
             bad = dataclasses.replace(p, **{f.name: value + lp_int(1)})
-            try:
-                failed[f.name] = check_presentation(name, n, params=bad)
-            except InexactDivision:  # bwm's g_k^-1 divides by lam + 1
-                failed[f.name] = "InexactDivision"
+            failed[f.name] = check_presentation(name, n, params=bad)
+    if name == "bwm":
+        # the digests were taken when bwm with lam + 1 raised
+        # InexactDivision, recorded as that name; its failures are pinned
+        # label by label above
+        assert failed["lam"] == BWM_LAM_PLUS_1_FAILS[n]
+        failed["lam"] = "InexactDivision"
     assert _digest(json.dumps(failed)) == MUTATION_DIGESTS[name, n]
 
 
@@ -257,12 +289,19 @@ def test_a_warm_table_pushes_each_shared_prefix_once(monkeypatch):
     assert len(calls) == 105 * 122
 
 
+def _memo_size():
+    """Keys in every memo of the engine registry.  Each memo miss spends one
+    step and stores one key, so after one call on a cold registry this is
+    the call's spend."""
+    return sum(len(m.cache) for m in rewrite._ENGINES.values())
+
+
 def test_a_table_runs_on_one_budget(monkeypatch):
     # a cold table spends `spent` steps in all; a budget of that many runs
     # out on the last step, one more suffices
     monkeypatch.setattr(rewrite, "_ENGINES", {})
     mult_table(3, BWM)
-    spent = rewrite.DEFAULT_FUEL - rewrite._fuel
+    spent = _memo_size()
     monkeypatch.setattr(rewrite, "_ENGINES", {})
     monkeypatch.setattr(rewrite, "DEFAULT_FUEL", spent)
     with pytest.raises(FuelExhausted):
@@ -279,7 +318,7 @@ def test_a_call_between_two_yields_leaves_the_walk_budget(monkeypatch):
     basis = list(enumerate_diagrams(3, 3))
     monkeypatch.setattr(rewrite, "_ENGINES", {})
     list(rewrite.basis_products(basis, BWM))
-    spent = rewrite.DEFAULT_FUEL - rewrite._fuel
+    spent = _memo_size()
     monkeypatch.setattr(rewrite, "_ENGINES", {})
     monkeypatch.setattr(rewrite, "DEFAULT_FUEL", spent)
     with pytest.raises(FuelExhausted):

@@ -342,6 +342,18 @@ def test_fuel_exhaustion_exits_1_with_one_line(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_a_word_too_deep_for_the_engine_exits_1_with_one_line(capsys):
+    # 400 cups, each added at the right end, with a crossing at column 1 on
+    # top: pushing it recurses once per cup, past Python's recursion limit,
+    # long before the step budget runs out
+    cups = ["u(%d)@%d" % (k, k - 1) for k in range(799, 0, -2)]
+    code = main(["normalize", "-p", "bwm", " . ".join(["s(1)@800"] + cups)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("engine error: recursion depth"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 _TIKZ_HEAD = (
     "\\documentclass[tikz]{standalone}\n"
     "\\begin{document}\n"

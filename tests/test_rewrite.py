@@ -17,7 +17,7 @@ from brauercalc.diagram import (
     standard_letters,
     tensor_oracle,
 )
-from brauercalc.params import LAURENT_FIELDS, PRESETS, preset
+from brauercalc.params import LAURENT_FIELDS, PRESETS, preset, vflip_params
 from brauercalc.rewrite import (
     FuelExhausted,
     InconsistentParams,
@@ -149,7 +149,7 @@ def test_tensor_matches_oracle():
 def test_push_words_agrees_with_push_letters(name):
     # words sharing prefixes, one a prefix of another, a repeat and the
     # empty word, each pushed onto a two-term start
-    eng = rewrite._engine_for(preset(name))
+    eng = rewrite._Engine(preset(name))
     words = [standard_letters(d) for d in enumerate_diagrams(3, 3)]
     words += [words[5][:2], list(words[5]), []]
     start = normalize(word(3, [cross(1)]), preset(name)).terms
@@ -412,7 +412,7 @@ def test_caps_pushed_on_cupless_diagrams_are_pinned():
     records.append(dataclasses.replace(BWM, a=BWM.a + lp_int(1)))
     lines = []
     for p in records:
-        eng = rewrite._engine_for(p)
+        eng = rewrite._Engine(p)
         # each line names its record by the sha1 of the record's JSON
         tag = hashlib.sha1(json.dumps(p.to_json(), sort_keys=True).encode()).hexdigest()
         for total in range(2, 9, 2):
@@ -443,7 +443,7 @@ def test_local_confluence_with_negative_letter_count_stops():
 def test_push_generator_matches_normalize():
     # the engine's push of one letter on one diagram, against nf_compose
     d = single([(1, 2), (0, 3)], 2, 2)
-    terms = rewrite._engine_for(BWM).push("cross", 1, d)
+    terms = rewrite._Engine(BWM).push("cross", 1, d)
     base = nf_from_diagram(d, BWM)
     g = normalize(word(2, [cross(1)]), BWM)
     assert terms == nf_compose(g, base).terms
@@ -481,6 +481,41 @@ def test_fuel_exhaustion_reported(monkeypatch):
     msg = str(info.value)
     assert "step budget of 3 exhausted pushing" in msg
     assert "BrauerDiagram(" in msg
+
+
+def test_a_flip_solve_spends_the_callers_budget(monkeypatch):
+    # on a cold registry this word misses 3 keys in the record's memo and,
+    # for the cap solved upside down, 2 in its flipped record's memo: all 5
+    # steps come out of the normalize call's one budget
+    p = preset("periplectic_q")
+    w = word(3, [cross(2), cross(1), cap(1)])
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    normalize(w, p)
+    assert len(rewrite._ENGINES[p].cache) == 3
+    assert len(rewrite._ENGINES[vflip_params(p)].cache) == 2
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    monkeypatch.setattr(rewrite, "DEFAULT_FUEL", 5)
+    with pytest.raises(FuelExhausted) as info:
+        normalize(w, p)
+    assert str(info.value).startswith("step budget of 5 exhausted pushing")
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    monkeypatch.setattr(rewrite, "DEFAULT_FUEL", 6)
+    normalize(w, p)
+
+
+def test_fuel_exhaustion_names_the_budget_the_call_started_with(monkeypatch):
+    # a cold End(3) walk spends 75 steps; its budget is set when the walk
+    # starts, so raising DEFAULT_FUEL between two yields neither refills it
+    # nor changes the size its error names
+    basis = list(enumerate_diagrams(3, 3))
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    monkeypatch.setattr(rewrite, "DEFAULT_FUEL", 75)
+    walk = basis_products(basis, BWM)
+    next(walk)
+    monkeypatch.setattr(rewrite, "DEFAULT_FUEL", 10 ** 6)
+    with pytest.raises(FuelExhausted) as info:
+        list(walk)
+    assert str(info.value).startswith("step budget of 75 exhausted pushing")
 
 
 def test_normal_forms_survive_clearing_the_engine_registry():
