@@ -36,6 +36,7 @@ from .rewrite import (
     FuelExhausted,
     InconsistentParams,
     NormalForm,
+    TooDeep,
     WidthMismatch,
     check_local_confluence,
     nf_compose,
@@ -543,17 +544,8 @@ def main(argv=None):
     except TermError as ex:
         print("parse error: %s" % ex, file=sys.stderr)
         return EXIT_PARSE
-    except FuelExhausted as ex:
+    except (FuelExhausted, TooDeep) as ex:
         print("engine error: %s" % ex, file=sys.stderr)
-        return EXIT_FAIL
-    except RecursionError:
-        # the parsers report their own; this one is the engine's, which
-        # recurses once per cup a letter passes
-        print(
-            "engine error: recursion depth of %d exhausted; the word is too "
-            "deep for the engine" % sys.getrecursionlimit(),
-            file=sys.stderr,
-        )
         return EXIT_FAIL
 
 

@@ -11,6 +11,18 @@ rationals; a monomial is a sorted tuple of `(name, exponent)` pairs with
 nonzero exponents.  A variable is its name, so every text form orders
 variables by name, whatever the process did before.
 
+`+` and `*` of Laurent polynomials are memoized by value: two module dicts,
+`_SUMS` and `_PRODUCTS`, map each operand pair `(x, y)` met so far to its
+result, and hold it for the life of the process.  The rewrite engine meets
+the same few coefficient pairs thousands of times, so each distinct sum and
+product is computed once, and equal results share one object (and its
+cached hash).  A product by the one `LaurentPoly.one()` returns the other
+operand before any hashing.  Sharing is safe because a polynomial is a
+value: no code mutates `.terms` after construction, and equality and hash
+compare the terms by value, never by insertion order.  So a result stored
+for one pair is the right result for every equal pair, and no text form can
+change, since `lp_str` sorts its terms.
+
 >>> p = lp_parse("q - q^-1")
 >>> print(lp_str(p * lp_parse("q + q^-1")))
 q^2 - q^-2
@@ -218,10 +230,14 @@ class LaurentPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            d[m] = d.get(m, GR_ZERO) + c
-        return LaurentPoly(d)
+        key = (self, other)
+        out = _SUMS.get(key)
+        if out is None:
+            d = dict(self.terms)
+            for m, c in other.terms.items():
+                d[m] = d.get(m, GR_ZERO) + c
+            out = _SUMS[key] = LaurentPoly(d)
+        return out
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         d = dict(self.terms)
@@ -237,13 +253,17 @@ class LaurentPoly:
             return self
         if self is _LP_ONE:
             return other
-        d: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = d.get(m)
-                d[m] = c1 * c2 if c is None else c + c1 * c2
-        return LaurentPoly(d)
+        key = (self, other)
+        out = _PRODUCTS.get(key)
+        if out is None:
+            d: dict = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    m = _mono_mul(m1, m2)
+                    c = d.get(m)
+                    d[m] = c1 * c2 if c is None else c + c1 * c2
+            out = _PRODUCTS[key] = LaurentPoly(d)
+        return out
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -331,6 +351,9 @@ class LaurentPoly:
 
 _LP_ZERO = LaurentPoly({})
 _LP_ONE = LaurentPoly({_MONO_ONE: GR_ONE})
+# The by-value memos of `+` and `*`: operand pair -> result (module docstring).
+_SUMS: dict = {}
+_PRODUCTS: dict = {}
 
 
 def lp_exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

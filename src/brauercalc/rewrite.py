@@ -88,10 +88,14 @@ budget and the key it stopped on.  A whole `basis_products` walk, and so a
 whole `algebra.mult_table`, is one such call: its columns share its engine's
 budget, which a call made between two of its yields does not touch.  Memo
 hits are free, so a prefix that `push_words` shares saves pushes, not fuel.
+A push recurses once per cup the letter passes, so a deep enough word runs
+out of Python's recursion limit before it runs out of fuel; every public
+call then raises `TooDeep`, naming the limit.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 from .coeff import LaurentPoly, lp_exact_div, lp_int, lp_str
@@ -134,6 +138,17 @@ class InconsistentParams(RewriteError):
 
 class FuelExhausted(RewriteError):
     """The step budget ran out; reported as an engine defect, never truncated."""
+
+
+class TooDeep(RewriteError):
+    """Python's recursion limit ran out inside the engine, which recurses
+    once per cup a letter passes; the message names the limit."""
+
+    def __init__(self):
+        super().__init__(
+            "recursion depth of %d exhausted; the word is too deep for the "
+            "engine" % sys.getrecursionlimit()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +512,11 @@ def normalize(w: GenWord, p: CategoryParams) -> NormalForm:
 def _normalize_unchecked(w: GenWord, p: CategoryParams):
     eng = _Engine(p)
     terms = {identity_diagram(w.domain): lp_int(1)}
-    for letter in w.letters:
-        terms = eng.push_nf(letter.kind, letter.pos, terms)
+    try:
+        for letter in w.letters:
+            terms = eng.push_nf(letter.kind, letter.pos, terms)
+    except RecursionError:
+        raise TooDeep() from None
     return NormalForm(w.domain, w.codomain, terms, p)
 
 
@@ -514,7 +532,10 @@ def nf_compose(x: NormalForm, y: NormalForm) -> NormalForm:
     if x.m != y.n:
         raise WidthMismatch("compose: %d on top of %d" % (x.m, y.n))
     out = {}
-    pushed = eng.push_words([standard_letters(dx) for dx in x.terms], y.terms)
+    try:
+        pushed = eng.push_words([standard_letters(dx) for dx in x.terms], y.terms)
+    except RecursionError:
+        raise TooDeep() from None
     for terms, cx in zip(pushed, x.terms.values()):
         _acc(out, terms, cx)
     return NormalForm(y.m, x.n, out, x.params)
@@ -528,8 +549,12 @@ def nf_tensor(x: NormalForm, y: NormalForm) -> NormalForm:
     out = {}
     for dy, cy in y.terms.items():
         shifted = [(k, pos + x.m) for k, pos in standard_letters(dy)]
-        below = eng.push_letters(shifted, ident)
-        for terms, cx in zip(eng.push_words(x_words, below), x.terms.values()):
+        try:
+            below = eng.push_letters(shifted, ident)
+            pushed = eng.push_words(x_words, below)
+        except RecursionError:
+            raise TooDeep() from None
+        for terms, cx in zip(pushed, x.terms.values()):
             _acc(out, terms, cx * cy)
     return NormalForm(x.m + y.m, x.n + y.n, out, x.params)
 
@@ -552,7 +577,10 @@ def basis_products(basis, p: CategoryParams):
     eng = _Engine(p)
     words = [standard_letters(x) for x in basis]
     for y in basis:
-        column = eng.push_words(words, {y: lp_int(1)})
+        try:
+            column = eng.push_words(words, {y: lp_int(1)})
+        except RecursionError:
+            raise TooDeep() from None
         for x, terms in zip(basis, column):
             yield NormalForm(y.m, x.n, terms, p)
 
@@ -742,6 +770,9 @@ def check_local_confluence(
                 prefixes + [new_lhs], pushed,
             )
 
-    for domain in range(0, max_width + 1):
-        visit(domain, [], domain, [{identity_diagram(domain): lp_int(1)}], [])
+    try:
+        for domain in range(0, max_width + 1):
+            visit(domain, [], domain, [{identity_diagram(domain): lp_int(1)}], [])
+    except RecursionError:
+        raise TooDeep() from None
     return failures

@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from fractions import Fraction
 
+import brauercalc
 from brauercalc.coeff import (
     GaussRational,
     LaurentPoly,
@@ -16,6 +22,9 @@ from brauercalc.coeff import (
     lp_str,
     lp_var,
 )
+from brauercalc.diagram import from_pairs, identity_diagram
+from brauercalc.params import preset
+from brauercalc.rewrite import NormalForm
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
@@ -35,6 +44,62 @@ def test_products_by_one_are_free():
     assert lp_int(1) is LaurentPoly.one()
     assert p * LaurentPoly.one() is p
     assert LaurentPoly.one() * p is p
+
+
+def test_each_distinct_sum_and_product_is_computed_once():
+    x, y = lp_parse("q + 2*v^-1"), lp_parse("3/2*q - i*z")
+    assert x * y is x * y
+    assert x + y is x + y
+    # the memos compare operands by value, not by identity
+    assert lp_parse("q + 2*v^-1") * lp_parse("3/2*q - i*z") is x * y
+    assert lp_parse("q + 2*v^-1") + lp_parse("3/2*q - i*z") is x + y
+
+
+def test_results_do_not_depend_on_the_order_terms_were_inserted():
+    items = [((("q", 1),), gr(2)), ((("v", -1), ("z", 2)), gr(0, 1)), ((), gr(Fraction(1, 3)))]
+    x, x_rev = LaurentPoly(dict(items)), LaurentPoly(dict(items[::-1]))
+    assert x == x_rev and list(x.terms) != list(x_rev.terms)
+    y = lp_parse("q^-1 - 3*z + 1")
+    cross = from_pairs(2, 2, [(0, 3), (1, 2)])
+    for op in (lambda a, b: a * b, lambda a, b: a + b):
+        results = [op(x, y), op(y, x_rev), op(x_rev, y), op(y, x)]
+        assert len({lp_str(r) for r in results}) == 1
+        forms = [
+            NormalForm(2, 2, {identity_diagram(2): r, cross: r * y}, preset("bwm"))
+            for r in results
+        ]
+        assert len({json.dumps(nf.to_json()) for nf in forms}) == 1
+
+
+_TABLE_PROBE = """
+import dataclasses, json, sys
+from brauercalc import coeff
+from brauercalc.algebra import mult_table
+from brauercalc.params import preset
+from brauercalc.rewrite import check_local_confluence
+if sys.argv[1] == "warm":
+    mult_table(3, preset("periplectic_q"))
+    bwm = preset("bwm")
+    corrupted = dataclasses.replace(bwm, a=bwm.a + coeff.lp_int(1))
+    assert check_local_confluence(corrupted, max_width=4, max_letters=3)
+    assert coeff._PRODUCTS and coeff._SUMS
+print(json.dumps(mult_table(3, preset("bwm")).to_json()))
+"""
+
+
+def test_a_warm_memo_gives_the_same_table_as_a_cold_one():
+    # fresh interpreters: one computes the bwm table first, the other after
+    # a periplectic_q table and a sweep of a corrupted bwm filled the memos
+    src = os.path.dirname(os.path.dirname(os.path.abspath(brauercalc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def probe(history):
+        return subprocess.run(
+            [sys.executable, "-c", _TABLE_PROBE, history],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    assert probe("warm") == probe("cold")
 
 
 def test_whole_parts_are_ints():

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -516,6 +517,22 @@ def test_fuel_exhaustion_names_the_budget_the_call_started_with(monkeypatch):
     with pytest.raises(FuelExhausted) as info:
         list(walk)
     assert str(info.value).startswith("step budget of 75 exhausted pushing")
+
+
+def test_a_word_too_deep_for_the_engine_raises_a_rewrite_error(monkeypatch):
+    # 400 cups, each added at the right end, with a crossing at column 1 on
+    # top: pushing it recurses once per cup, past Python's recursion limit,
+    # long before the step budget runs out
+    message = "recursion depth of %d exhausted" % sys.getrecursionlimit()
+    cups = [cup(2 * k + 1) for k in range(400)]
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    with pytest.raises(rewrite.RewriteError, match=message):
+        normalize(word(0, cups + [cross(1)]), BWM)
+    # the same push, reached through nf_compose
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    below = normalize(word(0, cups), BWM)
+    with pytest.raises(rewrite.RewriteError, match=message):
+        nf_compose(normalize(word(800, [cross(1)]), BWM), below)
 
 
 def test_normal_forms_survive_clearing_the_engine_registry():
