@@ -2,8 +2,10 @@
 Command-line surface for the diagram calculator.
 
 Subcommands: normalize, compose, tensor, table, verify, classify, map,
-render.  Parameters come from `--preset NAME` or `--params FILE.json`
-(never from the environment).  Exit codes: 0 success / all checks pass,
+render.  In every subcommand a token that starts with a single `-` and
+contains `@` is an expression (`-q*id@2`), read as if `--` preceded it.
+Parameters come from `--preset NAME` or `--params FILE.json` (never from
+the environment).  Exit codes: 0 success / all checks pass,
 1 a verification found counterexamples or the engine ran out of its step
 budget or of Python's recursion depth (one `engine error:` line on stderr),
 2 expression or input parse error, 3 width error, 4 inconsistent parameters.
@@ -69,7 +71,7 @@ def count(text):
 
 
 def load_params(args):
-    if getattr(args, "params", None):
+    if args.params:
         with open(args.params) as fh:
             try:
                 return params_from_json(json.load(fh))
@@ -77,7 +79,7 @@ def load_params(args):
                 raise ExprParseError("params file: missing field %s" % ex)
             except (TypeError, ValueError, RecursionError) as ex:  # includes bad JSON
                 raise ExprParseError("params file: %s" % ex)
-    name = getattr(args, "preset", None) or "brauer"
+    name = args.preset or "brauer"
     try:
         return preset(name)
     except ParamError:
@@ -117,34 +119,21 @@ def nf_ascii(nf: NormalForm) -> str:
     return "\n".join(lines)
 
 
-def _tikz_diagram(m, n, pairs, coeff=None, indent="  "):
+def _tikz_diagram(m, n, pairs, coeff):
     """One tikzpicture: bottom dots 0..m-1 at y=0, top dots at y=2."""
     out = ["\\begin{tikzpicture}[line cap=round]"]
-    width = max(m, n, 1)
-    for i in range(m):
-        out.append(indent + "\\fill (%d,0) circle (2pt);" % i)
-    for j in range(n):
-        out.append(indent + "\\fill (%d,2) circle (2pt);" % j)
+    out += ["  \\fill (%d,0) circle (2pt);" % i for i in range(m)]
+    out += ["  \\fill (%d,2) circle (2pt);" % j for j in range(n)]
     for i, j in pairs:
         if i < m and j < m:  # cap: both on the bottom
-            out.append(
-                indent
-                + "\\draw (%d,0) .. controls (%d,1) and (%d,1) .. (%d,0);"
-                % (i, i, j, j)
-            )
+            out.append("  \\draw (%d,0) .. controls (%d,1) and (%d,1) .. (%d,0);"
+                       % (i, i, j, j))
         elif i >= m and j >= m:  # cup: both on the top
-            out.append(
-                indent
-                + "\\draw (%d,2) .. controls (%d,1) and (%d,1) .. (%d,2);"
-                % (i - m, i - m, j - m, j - m)
-            )
+            out.append("  \\draw (%d,2) .. controls (%d,1) and (%d,1) .. (%d,2);"
+                       % (i - m, i - m, j - m, j - m))
         else:
-            out.append(indent + "\\draw (%d,0) -- (%d,2);" % (i, j - m))
-    if coeff is not None:
-        out.append(
-            indent
-            + "\\node[anchor=west] at (%d.5,1) {$%s$};" % (width, coeff)
-        )
+            out.append("  \\draw (%d,0) -- (%d,2);" % (i, j - m))
+    out.append("  \\node[anchor=west] at (%d.5,1) {$%s$};" % (max(m, n, 1), coeff))
     out.append("\\end{tikzpicture}")
     return "\n".join(out)
 
@@ -176,19 +165,17 @@ def format_nf(nf, fmt):
 # Word rendering (one generator per text row)
 
 
+_GLYPHS = {CROSS: "X", CAP: "/\\", CUP: "\\/"}
+
+
 def word_rows(w):
     """Ascii rows, topmost letter first; glyphs |, /\\, \\/, X."""
     rows = []
     widths = w.widths()
     for level, letter in enumerate(w.letters):
-        win = widths[level]
-        if letter.kind == CUP:
-            cells = ["|"] * widths[level + 1]
-            cells[letter.pos - 1 : letter.pos + 1] = ["\\/"]
-        else:
-            cells = ["|"] * win
-            glyph = "X" if letter.kind == CROSS else "/\\"
-            cells[letter.pos - 1 : letter.pos + 1] = [glyph]
+        # one cell per strand of the wider side, the letter's two in one glyph
+        cells = ["|"] * max(widths[level], widths[level + 1])
+        cells[letter.pos - 1 : letter.pos + 1] = [_GLYPHS[letter.kind]]
         rows.append(" ".join(cells))
     if not w.letters:
         rows.append(" ".join(["|"] * w.domain))
@@ -196,56 +183,38 @@ def word_rows(w):
 
 
 def word_tikz(w):
-    """Standalone picture of the word view, one letter per unit of height."""
+    """Standalone picture of the word view, one letter per unit of height.
+
+    Each level is drawn by one walk over its wider side: a crossing swaps
+    its two strands, a cap joins two bottom strands and moves the strands
+    to its right 2 to the left, a cup joins two top strands and moves the
+    strands to its right 2 to the right."""
     lines = ["\\documentclass[tikz]{standalone}", "\\begin{document}",
              "\\begin{tikzpicture}[line cap=round]"]
+    strand = "  \\draw (%d,%d) -- (%d,%d);"
     widths = w.widths()
-    y = 0
     if not w.letters:
-        for i in range(w.domain):
-            lines.append("  \\draw (%d,0) -- (%d,1);" % (i, i))
-    for level, letter in enumerate(w.letters):
-        win = widths[level]
-        pos = letter.pos
-        if letter.kind == CROSS:
-            for i in range(1, win + 1):
-                x = i - 1
-                if i == pos:
-                    lines.append("  \\draw (%d,%d) -- (%d,%d);" % (x, y, x + 1, y + 1))
-                elif i == pos + 1:
-                    lines.append("  \\draw (%d,%d) -- (%d,%d);" % (x, y, x - 1, y + 1))
-                else:
-                    lines.append("  \\draw (%d,%d) -- (%d,%d);" % (x, y, x, y + 1))
-        elif letter.kind == CAP:
-            for i in range(1, win + 1):
-                x = i - 1
-                if i == pos:
-                    lines.append(
-                        "  \\draw (%d,%d) .. controls (%d,%d.8) and (%d,%d.8) .. (%d,%d);"
-                        % (x, y, x, y, x + 1, y, x + 1, y)
-                    )
-                elif i == pos + 1:
-                    continue
-                else:
-                    shift = 0 if i < pos else -2
-                    lines.append("  \\draw (%d,%d) -- (%d,%d);" % (x, y, x + shift, y + 1))
-        else:  # cup
-            wout = widths[level + 1]
-            for i in range(1, wout + 1):
-                x = i - 1
-                if i == pos:
-                    lines.append(
-                        "  \\draw (%d,%d.2) .. controls (%d,%d.4) and (%d,%d.4) .. (%d,%d.2);"
-                        % (x, y, x, y + 1, x + 1, y + 1, x + 1, y)
-                    )
-                    lines.append("  \\draw (%d,%d.2) -- (%d,%d);" % (x, y, x, y + 1))
-                    lines.append("  \\draw (%d,%d.2) -- (%d,%d);" % (x + 1, y, x + 1, y + 1))
-                elif i == pos + 1:
-                    continue
-                else:
-                    shift = 0 if i < pos else -2
-                    lines.append("  \\draw (%d,%d) -- (%d,%d);" % (x + shift, y, x, y + 1))
-        y += 1
+        lines += [strand % (x, 0, x, 1) for x in range(w.domain)]
+    for y, letter in enumerate(w.letters):
+        x0 = letter.pos - 1
+        for x in range(max(widths[y], widths[y + 1])):
+            if letter.kind == CROSS:
+                top = 2 * x0 + 1 - x if x in (x0, x0 + 1) else x
+                lines.append(strand % (x, y, top, y + 1))
+            elif x == x0 and letter.kind == CAP:
+                lines.append("  \\draw (%d,%d) .. controls (%d,%d.8) and (%d,%d.8) .. (%d,%d);"
+                             % (x, y, x, y, x + 1, y, x + 1, y))
+            elif x == x0:  # cup
+                lines += [
+                    "  \\draw (%d,%d.2) .. controls (%d,%d.4) and (%d,%d.4) .. (%d,%d.2);"
+                    % (x, y, x, y + 1, x + 1, y + 1, x + 1, y),
+                    "  \\draw (%d,%d.2) -- (%d,%d);" % (x, y, x, y + 1),
+                    "  \\draw (%d,%d.2) -- (%d,%d);" % (x + 1, y, x + 1, y + 1),
+                ]
+            elif x != x0 + 1:
+                near = x if x < x0 else x - 2
+                lines.append(strand % ((x, y, near, y + 1) if letter.kind == CAP
+                                       else (near, y, x, y + 1)))
     lines += ["\\end{tikzpicture}", "\\end{document}"]
     return "\n".join(lines)
 
@@ -254,26 +223,11 @@ def word_tikz(w):
 # Subcommand handlers
 
 
-def cmd_normalize(args):
+def cmd_nf(args):
+    """normalize, compose, tensor: `args.op` of the operands' normal forms."""
     p = load_params(args)
-    nf = eval_expr(args.expr, p)
+    nf = args.op(*(eval_expr(getattr(args, name), p) for name in args.operands))
     print(format_nf(nf, args.format))
-    return EXIT_OK
-
-
-def cmd_compose(args):
-    p = load_params(args)
-    x = eval_expr(args.top, p)
-    y = eval_expr(args.bottom, p)
-    print(format_nf(nf_compose(x, y), args.format))
-    return EXIT_OK
-
-
-def cmd_tensor(args):
-    p = load_params(args)
-    x = eval_expr(args.left, p)
-    y = eval_expr(args.right, p)
-    print(format_nf(nf_tensor(x, y), args.format))
     return EXIT_OK
 
 
@@ -415,15 +369,13 @@ def cmd_render(args):
         ]
         print(json.dumps(data, indent=2))
         return EXIT_OK
+    tikz = args.format == "tikz"
     chunks = []
     for c, w in terms:
-        body = word_tikz(w) if args.format == "tikz" else "\n".join(word_rows(w))
+        body = word_tikz(w) if tikz else "\n".join(word_rows(w))
         if len(terms) > 1 or c != lp_int(1):
-            chunks.append("%% coefficient: %s\n%s" % (lp_str(c), body)
-                          if args.format == "tikz"
-                          else "coefficient: %s\n%s" % (lp_str(c), body))
-        else:
-            chunks.append(body)
+            body = "%scoefficient: %s\n%s" % ("% " if tikz else "", lp_str(c), body)
+        chunks.append(body)
     print("\n\n".join(chunks))
     return EXIT_OK
 
@@ -433,17 +385,13 @@ def cmd_render(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A subcommand parser.  With `exprs=True` a token that starts with a
-    single `-` and contains `@` is an expression such as `-q*id@2` or
-    `-p*id@2`, read as if `--` preceded it: every generator of the DSL
-    carries `@`, and no option, preset or format name does."""
-
-    def __init__(self, *args, exprs=False, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.exprs = exprs
+    """A subcommand parser that reads a token that starts with a single `-`
+    and contains `@` as an expression such as `-q*id@2` or `-p*id@2`, as if
+    `--` preceded it: every generator of the DSL carries `@`, and no option,
+    preset or format name does."""
 
     def _parse_optional(self, arg_string):
-        if self.exprs and not arg_string.startswith("--") and "@" in arg_string:
+        if not arg_string.startswith("--") and "@" in arg_string:
             return None
         return super()._parse_optional(arg_string)
 
@@ -453,8 +401,8 @@ def _add_params_flags(sp):
     sp.add_argument("--params", help="JSON file with a parameter record")
 
 
-def _add_format_flag(sp, choices=("ascii", "tikz", "json"), default="ascii"):
-    sp.add_argument("--format", choices=choices, default=default)
+def _add_format_flag(sp):
+    sp.add_argument("--format", choices=("ascii", "tikz", "json"), default="ascii")
 
 
 def build_parser():
@@ -464,29 +412,21 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sp = sub.add_parser("normalize", help="normal form of an expression", exprs=True)
-    _add_params_flags(sp)
-    _add_format_flag(sp)
-    sp.add_argument("expr")
-    sp.set_defaults(func=cmd_normalize)
-
-    sp = sub.add_parser(
-        "compose", help="stack the first expression on the second", exprs=True
-    )
-    _add_params_flags(sp)
-    _add_format_flag(sp)
-    sp.add_argument("top")
-    sp.add_argument("bottom")
-    sp.set_defaults(func=cmd_compose)
-
-    sp = sub.add_parser(
-        "tensor", help="place the first expression left of the second", exprs=True
-    )
-    _add_params_flags(sp)
-    _add_format_flag(sp)
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.set_defaults(func=cmd_tensor)
+    # nf_compose and nf_tensor are looked up when the parser is built, not at
+    # import, so that a rebinding of them (bench/tracer.py's) reaches cmd_nf
+    for name, summary, op, operands in (
+        ("normalize", "normal form of an expression", lambda nf: nf, ("expr",)),
+        ("compose", "stack the first expression on the second", nf_compose,
+         ("top", "bottom")),
+        ("tensor", "place the first expression left of the second", nf_tensor,
+         ("left", "right")),
+    ):
+        sp = sub.add_parser(name, help=summary)
+        _add_params_flags(sp)
+        _add_format_flag(sp)
+        for operand in operands:
+            sp.add_argument(operand)
+        sp.set_defaults(func=cmd_nf, op=op, operands=operands)
 
     sp = sub.add_parser("table", help="multiplication table of End(n)")
     _add_params_flags(sp)
@@ -506,9 +446,7 @@ def build_parser():
     _add_params_flags(sp)
     sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser(
-        "map", help="apply a structural functor to an expression", exprs=True
-    )
+    sp = sub.add_parser("map", help="apply a structural functor to an expression")
     _add_params_flags(sp)
     sp.add_argument("--functor", choices=("rescale", "vflip", "hflip"), required=True)
     sp.add_argument("--alpha", default="1")
@@ -530,20 +468,15 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ExprParseError, CoeffError, NonUnitScale, AlgebraError, OSError
-    ) as ex:
-        print("parse error: %s" % ex, file=sys.stderr)
-        return EXIT_PARSE
-    except (WidthError, WidthMismatch) as ex:
+    except (WidthError, WidthMismatch) as ex:  # a WidthError is a TermError
         print("width error: %s" % ex, file=sys.stderr)
         return EXIT_WIDTH
+    except (TermError, CoeffError, NonUnitScale, AlgebraError, OSError) as ex:
+        print("parse error: %s" % ex, file=sys.stderr)
+        return EXIT_PARSE
     except (InconsistentParams, ParamError) as ex:
         print("parameter error: %s" % ex, file=sys.stderr)
         return EXIT_PARAMS
-    except TermError as ex:
-        print("parse error: %s" % ex, file=sys.stderr)
-        return EXIT_PARSE
     except (FuelExhausted, TooDeep) as ex:
         print("engine error: %s" % ex, file=sys.stderr)
         return EXIT_FAIL

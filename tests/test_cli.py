@@ -1,16 +1,18 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from brauercalc import rewrite
-from brauercalc.cli import main
+from brauercalc import algebra, cli, coeff, functors, params, rewrite, term
+from brauercalc.cli import main, word_rows, word_tikz
 from brauercalc.coeff import lp_int
 from brauercalc.params import preset
 from brauercalc.rewrite import normalize
-from brauercalc.term import cross, word
+from brauercalc.term import GenWord, Letter, cross, word
 
 from test_params import FREE_D
+from test_rewrite import _sweep_words
 
 
 def run(capsys, *argv):
@@ -122,12 +124,56 @@ def test_an_expression_may_start_with_minus(capsys):
         (["compose", "-p", "bwm"], ["-q*s(1)@2", "-1*s(1)@2"]),
         (["tensor", "-p", "brauer"], ["-2*u(1)@0", "a(1)@2"]),
         (["map", "-p", "bwm", "--functor", "hflip"], ["-q*s(1)@2"]),
+        # render once refused it while the other four read it
+        (["render"], ["-q*id@2"]),
+        (["render", "--format", "tikz"], ["-q*id@2"]),
     ):
         expected = run(capsys, *argv, "--", *exprs)
         assert expected[0] == 0 and expected[1], argv
         assert run(capsys, *argv, *exprs) == expected, argv
         # before the options as well
         assert run(capsys, argv[0], *exprs, *argv[1:]) == expected, argv
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (term.ExprParseError("x"), 2, "parse error: "),
+    (term.WidthError("x"), 3, "width error: "),
+    (term.TermError("x"), 2, "parse error: "),
+    (coeff.ParseError("x"), 2, "parse error: "),
+    (coeff.InexactDivision("x"), 2, "parse error: "),
+    (functors.NonUnitScale("x"), 2, "parse error: "),
+    (algebra.UnknownPreset("x"), 2, "parse error: "),
+    (IsADirectoryError("x"), 2, "parse error: "),
+    (rewrite.WidthMismatch("x"), 3, "width error: "),
+    (rewrite.InconsistentParams("x"), 4, "parameter error: "),
+    (params.ParamError("x"), 4, "parameter error: "),
+    (rewrite.FuelExhausted("x"), 1, "engine error: "),
+    (rewrite.TooDeep(), 1, "engine error: "),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_caught_error_exits_with_its_code_and_one_line(
+    capsys, monkeypatch, error, code, prefix
+):
+    def handler(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_classify", handler)
+    assert main(["classify"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == prefix + str(error) + "\n"
+
+
+def test_compose_and_tensor_call_the_module_binding(capsys, monkeypatch):
+    # the parser reads nf_compose and nf_tensor when main builds it, so a
+    # rebinding of them (as the bench tracer makes) reaches the commands
+    calls = []
+    for name in ("nf_compose", "nf_tensor"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda x, y, f=original, n=name: (
+            calls.append(n), f(x, y))[1])
+    assert run(capsys, "compose", "-p", "brauer", "a(1)@2", "u(1)@0")[0] == 0
+    assert run(capsys, "tensor", "-p", "brauer", "u(1)@0", "a(1)@2")[0] == 0
+    assert calls == ["nf_compose", "nf_tensor"]
 
 
 def test_inconsistent_params_exit_code(capsys, tmp_path):
@@ -352,6 +398,21 @@ def test_a_word_too_deep_for_the_engine_exits_1_with_one_line(capsys):
     assert code == 1
     assert err.startswith("engine error: recursion depth"), err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_word_view_is_pinned():
+    # sha256 over the ascii rows and the tikz picture of every word the 4/4
+    # confluence sweep visits, taken before word_tikz became one walk
+    h = hashlib.sha256()
+    count = 0
+    for domain, letters in _sweep_words(4, 4):
+        w = GenWord(domain, tuple(Letter(k, pos) for k, pos in letters))
+        count += 1
+        h.update(("\n".join(word_rows(w)) + "\n\n" + word_tikz(w) + "\n\n").encode())
+    assert count == 2390
+    assert h.hexdigest() == (
+        "0ef312050a77947b297b5bdeb7137543592802adbb55da5c3c8d36ab12a082af"
+    )
 
 
 _TIKZ_HEAD = (
