@@ -4,8 +4,8 @@ Command-line surface for the diagram calculator.
 Subcommands: normalize, compose, tensor, table, verify, classify, map,
 render.  In every subcommand a token that starts with a single `-` and
 contains `@` is an expression (`-q*id@2`), read as if `--` preceded it.
-Parameters come from `--preset NAME` or `--params FILE.json` (never from
-the environment).  Exit codes: 0 success / all checks pass,
+Parameters come from `--preset NAME` or `--params FILE.json`, not both
+(never from the environment).  Exit codes: 0 success / all checks pass,
 1 a verification found counterexamples or the engine ran out of its step
 budget or of Python's recursion depth (one `engine error:` line on stderr),
 2 expression or input parse error, 3 width error, 4 inconsistent parameters.
@@ -71,6 +71,8 @@ def count(text):
 
 
 def load_params(args):
+    if args.params and args.preset:
+        raise ExprParseError("give --preset or --params, not both")
     if args.params:
         with open(args.params) as fh:
             try:

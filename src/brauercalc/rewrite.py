@@ -16,27 +16,46 @@ onto y that way; `nf_tensor` pushes them onto each of y's diagrams moved right
 of x's strands; `basis_products` pushes every basis word onto each basis
 diagram in turn.
 Each push is resolved by a case analysis on how the new letter meets the
-topmost cup block (or, if there are no cups, the permutation part) of the
-diagram, applying the defining relations of the category.  Signs arise only from
+topmost cup block (a cup at a, then crossings at a + 1, ..., a + s) of the
+diagram, or, if there are no cups, its permutation.  Signs arise only from
 commuting odd letters (cups/caps when epsilon = -1) past each other.
+
+The relations are data, stated once for the engine and for the confluence
+sweep: each row of `_RELATIONS` is a label, a window of (kind, offset)
+letters and a right-hand side of (field, replacement) pairs.  Nine rows are written out;
+each whose window is not its own upside-down image also yields that image as
+a `ud-` row, its fields exchanged with their primed partners.  The engine
+applies every row but `braid` and `braid-rev`, always window -> right-hand
+side, by `_apply`: the new letter commutes down the block's crossings (a cap
+moves each it passes 2 left) until it meets the letters of the row's window,
+whose first letter sits at x.  With pre the block's letters under the
+window, post those the letter passed, and below the diagram under the
+block, the row gives the sum over its right-hand side of the field's
+coefficient times the word pre + replacement + post pushed on below.  That
+word's leading cup block (a cup at a', then crossings at a' + 1, a' + 2,
+...) is stacked whole by `_stack_block`; its other letters are pushed one at
+a time.  `_push_cross` applies sliding, untwisting, pulling and twisting,
+the last also when a crossing doubles the top letter of a cupless diagram's
+permutation; `_push_cap` applies straightening, looping, delooping and the
+four `ud-` rows.  The cases that apply no row write no coefficient:
+commuting past the block, extending it, braiding a crossing through it, a
+cupless crossing that lengthens the permutation, and a cap on a cupless
+diagram, which lands literally or is solved upside down.
 
 `check_local_confluence` exhaustively verifies that applying any single
 relation anywhere in a small word, then normalizing, agrees with normalizing
 the word directly.  It deliberately accepts inconsistent parameter records so
-that it can *detect* them.  The relations are data: each row of `_RELATIONS`
-is a label, a window of (kind, offset) letters and a right-hand side of
-(field, replacement) pairs.  Nine rows are written out; each whose window is
-not its own upside-down image also yields that image as a `ud-` row, its
-fields exchanged with their primed partners.  Two letters on different
-strands commute by `_swap_step`.  The sweep keeps the normal form of every
-prefix of the word it visits, and pushes a replacement at height h onto the
-normal form of the h letters below it.  It checks a relation window only at
-the word whose top letter ends it.  A normal form is a left fold of the
-linear `push_nf`, so a step whose two sides agree on `letters[:h + span]`
-agrees on every word that extends it, and is never checked again.  A step
-whose sides differ is carried up the walk: each longer word pushes its new
-letter once onto the carried right-hand side and compares again, because a
-later letter may cancel the difference.
+that it can *detect* them.  It reads every row of `_RELATIONS`, the braids
+too, and commutes two letters on different strands by `_swap_step`.  The
+sweep keeps the normal form of every prefix of the word it visits, and
+pushes a replacement at height h onto the normal form of the h letters below
+it.  It checks a relation window only at the word whose top letter ends it.
+A normal form is a left fold of the linear `push_nf`, so a step whose two
+sides agree on `letters[:h + span]` agrees on every word that extends it,
+and is never checked again.  A step whose sides differ is carried up the
+walk: each longer word pushes its new letter once onto the carried
+right-hand side and compares again, because a later letter may cancel the
+difference.
 
     >>> from brauercalc.params import preset
     >>> for w in [((CUP, 2), (CROSS, 1)), ((CROSS, 1), (CAP, 2))]:
@@ -229,6 +248,76 @@ def _negated(terms: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Relations
+
+
+# One row per relation: (label, window, [(field, replacement), ...]).  A
+# window lists its (kind, offset) letters bottom to top, the offset counted
+# from the window's first letter; a replacement's letters use the same
+# offsets.  The field names the coefficient in the record, None being 1.
+# The engine applies a row by its label (`_Engine._apply`), the sweep finds
+# one by its window (`_relation_steps`).
+_RELATIONS = (
+    ("untwisting", ((CUP, 0), (CROSS, 0)), (("lam", ((CUP, 0),)),)),
+    ("sliding", ((CUP, 0), (CROSS, -1)),
+     (("d", ((CUP, -1),)), ("e", ((CUP, -1), (CROSS, 0))), ("f", ((CUP, 0),)))),
+    ("looping", ((CUP, 0), (CAP, 0)), (("delta", ()),)),
+    ("straightening", ((CUP, 0), (CAP, -1)), (("sig", ()),)),
+    ("twisting", ((CROSS, 0), (CROSS, 0)),
+     (("a", ()), ("b", ((CROSS, 0),)), ("c", ((CAP, 0), (CUP, 0))))),
+    ("delooping", ((CUP, 0), (CROSS, 1), (CAP, 0)), (("rho", ()),)),
+    ("pulling", ((CUP, 0), (CROSS, 1), (CROSS, 0)),
+     (("D", ((CUP, 0),)), ("E", ((CUP, 0), (CROSS, 1))), ("F", ((CUP, 1),)))),
+    ("braid", ((CROSS, 0), (CROSS, 1), (CROSS, 0)),
+     ((None, ((CROSS, 1), (CROSS, 0), (CROSS, 1))),)),
+    ("braid-rev", ((CROSS, 0), (CROSS, -1), (CROSS, 0)),
+     ((None, ((CROSS, -1), (CROSS, 0), (CROSS, -1))),)),
+)
+
+_FLIPPED_KIND = {CROSS: CROSS, CAP: CUP, CUP: CAP}
+_PARTNER = dict(_PRIMED + tuple(pair[::-1] for pair in _PRIMED))
+
+
+def _upside_down(row):
+    """The relation turned upside down, or None if its window is its own
+    image: letters reversed, cups and caps swapped, positions kept and
+    offsets taken from the new first letter, each field exchanged with its
+    primed partner."""
+    label, window, rhs = row
+    first = window[-1][1]
+
+    def flip(letters):
+        return tuple((_FLIPPED_KIND[k], off - first) for k, off in reversed(letters))
+
+    if flip(window) == window:
+        return None
+    return (
+        "ud-" + label,
+        flip(window),
+        tuple((_PARTNER.get(f, f), flip(repl)) for f, repl in rhs),
+    )
+
+
+_RELATIONS += tuple(filter(None, map(_upside_down, _RELATIONS)))
+_BY_WINDOW = {row[1]: row for row in _RELATIONS}
+_BY_LABEL = {label: rhs for label, _, rhs in _RELATIONS}  # the rows `_apply` reads
+
+
+def _coeff(p: CategoryParams, field) -> LaurentPoly:
+    """The coefficient a row's field names: 1 for None, a unit as a constant."""
+    if field is None:
+        return lp_int(1)
+    value = getattr(p, field)
+    return value if isinstance(value, LaurentPoly) else LaurentPoly.const(value)
+
+
+def _block_letters(s: int, a: int) -> list:
+    """The letters of an elementary cup block: a cup at a, then crossings at
+    a + 1, ..., a + s."""
+    return [(CUP, a)] + [(CROSS, a + j) for j in range(1, s + 1)]
+
+
+# ---------------------------------------------------------------------------
 # The engine
 
 
@@ -330,7 +419,7 @@ class _Engine:
             prev = word
         return out
 
-    # -- attaching blocks ----------------------------------------------------
+    # -- attaching blocks and applying relations ----------------------------
 
     def _stack_block(self, d: BrauerDiagram, s: int, a: int) -> dict:
         """Normal form of an elementary cup block stacked on d.
@@ -344,8 +433,7 @@ class _Engine:
         """
         above = sum(1 for i, _ in d.cup_pairs() if i >= a)
         if s and above:
-            letters = [(CUP, a)] + [(CROSS, a + j) for j in range(1, s + 1)]
-            return self.push_letters(letters, {d: lp_int(1)})
+            return self.push_letters(_block_letters(s, a), {d: lp_int(1)})
         return {stack_cup_block(d, s, a): lp_int(self.sign(above))}
 
     def _stack_block_nf(self, terms: dict, s: int, a: int) -> dict:
@@ -354,19 +442,29 @@ class _Engine:
             _acc(out, self._stack_block(d, s, a), c)
         return out
 
-    def _twist(self, base: dict, d: BrauerDiagram, r: int) -> dict:
-        """A crossing at r doubles the top letter of base, giving d:
-        a*base + b*d + c*(cup_r o cap_r o base)."""
-        p = self.p
-        out = _acc({}, base, p.a)
-        _add_term(out, d, p.b)
-        tail = self.push_nf(CUP, r, self.push_nf(CAP, r, base))
-        return _acc(out, tail, p.c)
+    def _apply(self, label: str, x: int, below: BrauerDiagram, pre=(), post=()) -> dict:
+        """The relation row `label` applied with its window at x, on top of
+        the letters pre stacked on below, with the letters post above it:
+        the sum over the row's right-hand side of the field's coefficient
+        times pre + replacement + post pushed on below.  That word's leading
+        cup block (a cup at a, then crossings at a + 1, a + 2, ...) is
+        stacked whole; its other letters are pushed one at a time."""
+        out = {}
+        for field, repl in _BY_LABEL[label]:
+            letters = [*pre, *[(k, x + off) for k, off in repl], *post]
+            k, terms = 0, {below: lp_int(1)}
+            if letters and letters[0][0] == CUP:
+                a = letters[0][1]
+                k = 1
+                while k < len(letters) and letters[k] == (CROSS, a + k):
+                    k += 1
+                terms = self._stack_block(below, k - 1, a)
+            _acc(out, self.push_letters(letters[k:], terms), _coeff(self.p, field))
+        return out
 
     # -- crossing -----------------------------------------------------------
 
     def _push_cross(self, r: int, d: BrauerDiagram) -> dict:
-        p = self.p
         cups = d.cup_pairs()
         if not cups:
             base = stack_cross(d, r)
@@ -374,13 +472,12 @@ class _Engine:
             # swaps come from bottom dots in order
             if d.match[d.m + r - 1] < d.match[d.m + r]:
                 return {base: lp_int(1)}
-            # the new crossing doubles the top letter of the permutation
-            return self._twist({base: lp_int(1)}, d, r)
+            # else d is base with a crossing at r on top, which it doubles
+            return self._apply("twisting", r, base)
 
         left, right = max(cups)  # the topmost cup block
         s1, a1 = right - left - 1, left
         rest = remove_top_pair(d, left, right)
-        rest_nf = {rest: lp_int(1)}
 
         if r + 1 < left:
             return self._stack_block_nf(self.push(CROSS, r, rest), s1, a1)
@@ -388,37 +485,22 @@ class _Engine:
             return self._stack_block_nf(self.push(CROSS, r - 2, rest), s1, a1)
         if r == right:
             return self._stack_block(rest, s1 + 1, a1)
+        # otherwise the crossing commutes down the cascade to a window
+        block = _block_letters(s1, a1)
         if r == a1 - 1:
-            # crossing grabs the straight left leg of the block: sliding
-            dterm = self.push_letters(
-                [(CUP, a1 - 1)] + [(CROSS, a1 + j) for j in range(1, s1 + 1)],
-                rest_nf,
-            )
-            out = _acc({}, dterm, p.d)
-            _acc(out, self._stack_block(rest, s1 + 1, a1 - 1), _coeff(p, "e"))
-            _add_term(out, d, p.f)
-            return out
+            return self._apply("sliding", a1, rest, post=block[1:])
         if r == a1 and s1 == 0:
-            return {d: p.lam}
+            return self._apply("untwisting", a1, rest)
         if r == a1:
-            # crossing repeats the first crossing of the cascade: pulling
-            dterm = self.push_letters(
-                [(CUP, a1)] + [(CROSS, a1 + j) for j in range(2, s1 + 1)],
-                rest_nf,
-            )
-            out = _acc({}, dterm, p.D)
-            _add_term(out, d, p.E)
-            return _acc(out, self._stack_block(rest, s1 - 1, a1 + 1), p.F)
+            return self._apply("pulling", a1, rest, post=block[2:])
         if r == a1 + s1:
-            # crossing doubles the top letter of the cascade: twisting
-            return self._twist(self._stack_block(rest, s1 - 1, a1), d, r)
+            return self._apply("twisting", r, rest, pre=block[:-1])
         # a1 < r < a1 + s1: both strands pass under the arc; braid through
         return self._stack_block_nf(self.push(CROSS, r - 1, rest), s1, a1)
 
     # -- cap ----------------------------------------------------------------
 
     def _push_cap(self, r: int, d: BrauerDiagram) -> dict:
-        p = self.p
         cups = d.cup_pairs()
         if not cups:
             # a cap landing literally on the standard word of d has
@@ -428,7 +510,7 @@ class _Engine:
             if cap_lands_literally(d, r):
                 return {stack_cap(d, r): lp_int(1)}
             if self.flip is None:
-                self.flip = _Engine(vflip_params(p), self.root)
+                self.flip = _Engine(vflip_params(self.p), self.root)
             cup = {elem_cup_block(d.n - 2, 0, r): lp_int(1)}
             terms = self.flip.push_letters(standard_letters(vflip_diagram(d)), cup)
             return {vflip_diagram(k): v for k, v in terms.items()}
@@ -436,7 +518,6 @@ class _Engine:
         left, right = max(cups)  # the topmost cup block
         s1, a1 = right - left - 1, left
         rest = remove_top_pair(d, left, right)
-        rest_nf = {rest: lp_int(1)}
 
         if r + 1 < left:
             out = self._stack_block_nf(self.push(CAP, r, rest), s1, a1 - 2)
@@ -444,41 +525,25 @@ class _Engine:
         if r > right:
             out = self._stack_block_nf(self.push(CAP, r - 2, rest), s1, a1)
             return out if self.eps == 1 else _negated(out)
+        # otherwise the cap commutes down the cascade to a window, moving
+        # the crossings it passes 2 left
+        block = _block_letters(s1, a1)
+        down = [(CROSS, pos - 2) for _, pos in block[1:]]
         if r == a1 - 1:
-            # cap joins a free strand to the block's left leg: straightening
-            letters = [(CROSS, a1 - 1 + j) for j in range(s1)]
-            return _acc({}, self.push_letters(letters, rest_nf), p.sig)
+            return self._apply("straightening", a1, rest, post=down)
         if r == a1 and s1 == 0:
-            return _acc({}, rest_nf, p.delta)
+            return self._apply("looping", a1, rest)
         if r == a1:
-            # cap closes the block through its cascade: delooping
-            letters = [(CROSS, a1 + j - 2) for j in range(2, s1 + 1)]
-            return _acc({}, self.push_letters(letters, rest_nf), p.rho)
+            return self._apply("delooping", a1, rest, post=down[1:])
+        if r == right and s1 == 0:
+            return self._apply("ud-straightening", a1, rest)
         if r == right:
-            if s1 == 0:
-                return _acc({}, rest_nf, p.sig_p)
-            # cap meets the cascade's top crossing: upside-down sliding
-            base = self._stack_block(rest, s1 - 1, a1)
-            out = _acc({}, self.push_nf(CAP, a1 + s1, base), p.d_p)
-            mid = self.push_nf(CROSS, a1 + s1 + 1, base)
-            _acc(out, self.push_nf(CAP, a1 + s1, mid), _coeff(p, "e_prime"))
-            return _acc(out, self.push_nf(CAP, a1 + s1 + 1, base), p.f_p)
+            return self._apply("ud-sliding", a1 + s1, rest, pre=block[:-1])
         if r == a1 + s1:
-            # cap undoes the cascade's top crossing: upside-down untwisting
-            base = self._stack_block(rest, s1 - 1, a1)
-            return _acc({}, self.push_nf(CAP, a1 + s1, base), p.lam_p)
-        # a1 < r < a1 + s1: cap lands on the cascade: upside-down pulling
+            return self._apply("ud-untwisting", r, rest, pre=block[:-1])
+        # a1 < r < a1 + s1: the cap lands on the cascade
         off = r - a1
-        pre = [(CUP, a1)] + [(CROSS, a1 + i) for i in range(1, off)]
-        post = [(CROSS, a1 + j - 2) for j in range(off + 2, s1 + 1)]
-        out = {}
-        for coeff, window in (
-            (p.D_p, [(CAP, r)]),
-            (p.E_p, [(CROSS, r + 1), (CAP, r)]),
-            (p.F_p, [(CAP, r + 1)]),
-        ):
-            _acc(out, self.push_letters(pre + window + post, rest_nf), coeff)
-        return out
+        return self._apply("ud-pulling", r, rest, pre=block[:off], post=down[off + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -624,63 +689,6 @@ def _swap_step(g, u):
     if u_lo > g_hi or (gk, uk, r) == (CAP, CUP, x):
         return (uk, r - WIDTH_CHANGE[gk]), (gk, x)
     return None
-
-
-# One row per relation: (label, window, [(field, replacement), ...]).  A
-# window lists its (kind, offset) letters bottom to top, the offset counted
-# from the window's first letter; a replacement's letters use the same
-# offsets.  The field names the coefficient in the record, None being 1.
-_RELATIONS = (
-    ("untwisting", ((CUP, 0), (CROSS, 0)), (("lam", ((CUP, 0),)),)),
-    ("sliding", ((CUP, 0), (CROSS, -1)),
-     (("d", ((CUP, -1),)), ("e", ((CUP, -1), (CROSS, 0))), ("f", ((CUP, 0),)))),
-    ("looping", ((CUP, 0), (CAP, 0)), (("delta", ()),)),
-    ("straightening", ((CUP, 0), (CAP, -1)), (("sig", ()),)),
-    ("twisting", ((CROSS, 0), (CROSS, 0)),
-     (("a", ()), ("b", ((CROSS, 0),)), ("c", ((CAP, 0), (CUP, 0))))),
-    ("delooping", ((CUP, 0), (CROSS, 1), (CAP, 0)), (("rho", ()),)),
-    ("pulling", ((CUP, 0), (CROSS, 1), (CROSS, 0)),
-     (("D", ((CUP, 0),)), ("E", ((CUP, 0), (CROSS, 1))), ("F", ((CUP, 1),)))),
-    ("braid", ((CROSS, 0), (CROSS, 1), (CROSS, 0)),
-     ((None, ((CROSS, 1), (CROSS, 0), (CROSS, 1))),)),
-    ("braid-rev", ((CROSS, 0), (CROSS, -1), (CROSS, 0)),
-     ((None, ((CROSS, -1), (CROSS, 0), (CROSS, -1))),)),
-)
-
-_FLIPPED_KIND = {CROSS: CROSS, CAP: CUP, CUP: CAP}
-_PARTNER = dict(_PRIMED + tuple(pair[::-1] for pair in _PRIMED))
-
-
-def _upside_down(row):
-    """The relation turned upside down, or None if its window is its own
-    image: letters reversed, cups and caps swapped, positions kept and
-    offsets taken from the new first letter, each field exchanged with its
-    primed partner."""
-    label, window, rhs = row
-    first = window[-1][1]
-
-    def flip(letters):
-        return tuple((_FLIPPED_KIND[k], off - first) for k, off in reversed(letters))
-
-    if flip(window) == window:
-        return None
-    return (
-        "ud-" + label,
-        flip(window),
-        tuple((_PARTNER.get(f, f), flip(repl)) for f, repl in rhs),
-    )
-
-
-_RELATIONS += tuple(filter(None, map(_upside_down, _RELATIONS)))
-_BY_WINDOW = {row[1]: row for row in _RELATIONS}
-
-
-def _coeff(p: CategoryParams, field) -> LaurentPoly:
-    """The coefficient a row's field names: 1 for None, a unit as a constant."""
-    if field is None:
-        return lp_int(1)
-    value = getattr(p, field)
-    return value if isinstance(value, LaurentPoly) else LaurentPoly.const(value)
 
 
 def _relation_steps(p: CategoryParams, letters):

@@ -44,7 +44,8 @@ class TermError(Exception):
 
 
 class WidthError(TermError):
-    """A letter is applied at a position its width does not allow."""
+    """A letter is applied at a position its width does not allow, or the
+    widths of two operands in one expression do not fit together."""
 
 
 class ExprParseError(TermError):
@@ -185,7 +186,7 @@ class _ExprParser(_PolyParser):
             parts.append(part if op == "+" else [(-c, w) for c, w in part])
         shapes = {_shape(p) for p in parts}
         if len(shapes) != 1:
-            raise TermError("summands have different shapes: %s" % shapes)
+            raise WidthError("summands have different shapes: %s" % shapes)
         return [t for p in parts for t in p]
 
     def parse_prod(self):
@@ -205,7 +206,7 @@ class _ExprParser(_PolyParser):
             self.take()
             lower = self.parse_tens()
             if _shape(lower)[1] != _shape(upper)[0]:
-                raise TermError(
+                raise WidthError(
                     "composition mismatch: %d on top of %d"
                     % (_shape(upper)[0], _shape(lower)[1])
                 )

@@ -40,6 +40,34 @@ def test_width_error_exit_code(capsys):
     assert code == 3
 
 
+def test_a_width_mismatch_inside_one_expression_exits_3(capsys):
+    # a composition or a sum of mismatched shapes is a width error, as it is
+    # between two operands; inside one expression it once exited 2
+    for expr, message in (
+        ("a(1)@2 . a(1)@2", "composition mismatch: 2 on top of 0"),
+        ("a(1)@2 + id@2", "summands have different shapes: "),
+    ):
+        code = main(["normalize", expr])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, ""), expr
+        assert err.startswith("width error: " + message) and err.count("\n") == 1, err
+    assert run(capsys, "compose", "a(1)@2", "a(1)@2")[0] == 3
+
+
+def test_a_preset_and_a_params_file_together_are_refused(capsys, tmp_path):
+    # -p was once ignored next to --params: the file's record was used
+    path = tmp_path / "brauer.json"
+    path.write_text(json.dumps(preset("brauer").to_json()))
+    for argv in (
+        ["normalize", "-p", "bwm", "--params", str(path), "s(1)@2 . s(1)@2"],
+        ["verify", "confluence", "-p", "bwm", "--params", str(path)],
+    ):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert err == "parse error: give --preset or --params, not both\n", argv
+
+
 def test_parse_error_exit_code(capsys):
     assert run(capsys, "normalize", "a(1@2")[0] == 2
     assert run(capsys, "normalize", "-p", "nosuch", "id@2")[0] == 2

@@ -432,6 +432,59 @@ def test_caps_pushed_on_cupless_diagrams_are_pinned():
     )
 
 
+# every Laurent field its own variable, so that no two fields agree
+GENERIC = dataclasses.replace(BWM, **{f: lp_parse(f) for f in LAURENT_FIELDS})
+
+# for each relation row the engine applies, a word whose last letter fires it
+_FIRING = {
+    "twisting": word(2, [cross(1), cross(1)]),
+    "untwisting": word(0, [cup(1), cross(1)]),
+    "sliding": word(1, [cup(2), cross(1)]),
+    "pulling": word(1, [cup(1), cross(2), cross(1)]),
+    "looping": word(0, [cup(1), cap(1)]),
+    "straightening": word(1, [cup(2), cap(1)]),
+    "delooping": word(1, [cup(1), cross(2), cap(1)]),
+    "ud-straightening": word(1, [cup(1), cap(2)]),
+    "ud-sliding": word(2, [cup(1), cross(2), cap(3)]),
+    "ud-untwisting": word(1, [cup(1), cross(2), cap(2)]),
+    "ud-pulling": word(2, [cup(1), cross(2), cross(3), cap(2)]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_FIRING))
+def test_the_engine_applies_the_relation_table(monkeypatch, label):
+    # corrupt the row's right-hand side in the table the engine reads: its
+    # fields rotated one place, or a lone field replaced by 1 (None); on a
+    # cold registry the word's normal form must change
+    rhs = rewrite._BY_LABEL[label]
+    fields = [field for field, _ in rhs]
+    fields = fields[1:] + fields[:1] if len(fields) > 1 else [None]
+    corrupted = tuple(zip(fields, [repl for _, repl in rhs]))
+    w = _FIRING[label]
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    before = rewrite._normalize_unchecked(w, GENERIC).to_json()
+    monkeypatch.setitem(rewrite._BY_LABEL, label, corrupted)
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    assert rewrite._normalize_unchecked(w, GENERIC).to_json() != before
+
+
+def test_a_generic_sweep_applies_every_row_but_the_braids(monkeypatch):
+    # a cold 4/4 sweep reaches every relation case of the engine; the two
+    # braid rows are only checked by the sweep, never applied
+    applied = set()
+    apply = rewrite._Engine._apply
+
+    def recorded(self, label, *args, **kwargs):
+        applied.add(label)
+        return apply(self, label, *args, **kwargs)
+
+    monkeypatch.setattr(rewrite._Engine, "_apply", recorded)
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    check_local_confluence(GENERIC, max_width=4, max_letters=4)
+    assert applied == set(_FIRING)
+    assert applied == {label for label, _, _ in rewrite._RELATIONS} - {"braid", "braid-rev"}
+
+
 # ---------------------------------------------------------------------------
 # Error paths and serialization
 
@@ -505,18 +558,18 @@ def test_a_flip_solve_spends_the_callers_budget(monkeypatch):
 
 
 def test_fuel_exhaustion_names_the_budget_the_call_started_with(monkeypatch):
-    # a cold End(3) walk spends 75 steps; its budget is set when the walk
+    # a cold End(3) walk spends 74 steps; its budget is set when the walk
     # starts, so raising DEFAULT_FUEL between two yields neither refills it
     # nor changes the size its error names
     basis = list(enumerate_diagrams(3, 3))
     monkeypatch.setattr(rewrite, "_ENGINES", {})
-    monkeypatch.setattr(rewrite, "DEFAULT_FUEL", 75)
+    monkeypatch.setattr(rewrite, "DEFAULT_FUEL", 74)
     walk = basis_products(basis, BWM)
     next(walk)
     monkeypatch.setattr(rewrite, "DEFAULT_FUEL", 10 ** 6)
     with pytest.raises(FuelExhausted) as info:
         list(walk)
-    assert str(info.value).startswith("step budget of 75 exhausted pushing")
+    assert str(info.value).startswith("step budget of 74 exhausted pushing")
 
 
 def test_a_word_too_deep_for_the_engine_raises_a_rewrite_error(monkeypatch):
