@@ -71,9 +71,9 @@ def count(text):
 
 
 def load_params(args):
-    if args.params and args.preset:
+    if args.params is not None and args.preset is not None:
         raise ExprParseError("give --preset or --params, not both")
-    if args.params:
+    if args.params is not None:
         with open(args.params) as fh:
             try:
                 return params_from_json(json.load(fh))
@@ -81,7 +81,7 @@ def load_params(args):
                 raise ExprParseError("params file: missing field %s" % ex)
             except (TypeError, ValueError, RecursionError) as ex:  # includes bad JSON
                 raise ExprParseError("params file: %s" % ex)
-    name = args.preset or "brauer"
+    name = "brauer" if args.preset is None else args.preset
     try:
         return preset(name)
     except ParamError:
@@ -261,9 +261,9 @@ def cmd_table(args):
 
 def cmd_verify(args):
     # only confluence reads a parameter record; presentation takes a preset name
-    if args.params and args.what != "confluence":
+    if args.params is not None and args.what != "confluence":
         raise ExprParseError("verify %s takes no --params" % args.what)
-    if args.preset and args.what in ("table1", "wenzl"):
+    if args.preset is not None and args.what in ("table1", "wenzl"):
         raise ExprParseError("verify %s takes no --preset" % args.what)
 
     if args.what == "confluence":
@@ -309,7 +309,7 @@ def cmd_verify(args):
         return EXIT_OK if bad == 0 and len(FAMILIES) == 13 else EXIT_FAIL
 
     if args.what == "presentation":
-        names = [args.preset] if args.preset else ["bwm", "periplectic_q"]
+        names = ["bwm", "periplectic_q"] if args.preset is None else [args.preset]
         report = {"check": "presentation", "results": []}
         ok = True
         for name in names:

@@ -15,32 +15,41 @@ share is pushed once.  `nf_compose` pushes the standard words of x's diagrams
 onto y that way; `nf_tensor` pushes them onto each of y's diagrams moved right
 of x's strands; `basis_products` pushes every basis word onto each basis
 diagram in turn.
-Each push is resolved by a case analysis on how the new letter meets the
-topmost cup block (a cup at a, then crossings at a + 1, ..., a + s) of the
-diagram, or, if there are no cups, its permutation.  Signs arise only from
-commuting odd letters (cups/caps when epsilon = -1) past each other.
+Each push is resolved by how the new letter meets the topmost cup block (a
+cup at a, then crossings at a + 1, ..., a + s) of the diagram, or, if there
+are no cups, its permutation.  Signs arise only from commuting odd letters
+(cups/caps when epsilon = -1) past each other.
 
 The relations are data, stated once for the engine and for the confluence
 sweep: each row of `_RELATIONS` is a label, a window of (kind, offset)
-letters and a right-hand side of (field, replacement) pairs.  Nine rows are written out;
-each whose window is not its own upside-down image also yields that image as
-a `ud-` row, its fields exchanged with their primed partners.  The engine
-applies every row but `braid` and `braid-rev`, always window -> right-hand
-side, by `_apply`: the new letter commutes down the block's crossings (a cap
-moves each it passes 2 left) until it meets the letters of the row's window,
-whose first letter sits at x.  With pre the block's letters under the
-window, post those the letter passed, and below the diagram under the
-block, the row gives the sum over its right-hand side of the field's
-coefficient times the word pre + replacement + post pushed on below.  That
-word's leading cup block (a cup at a', then crossings at a' + 1, a' + 2,
-...) is stacked whole by `_stack_block`; its other letters are pushed one at
-a time.  `_push_cross` applies sliding, untwisting, pulling and twisting,
-the last also when a crossing doubles the top letter of a cupless diagram's
-permutation; `_push_cap` applies straightening, looping, delooping and the
-four `ud-` rows.  The cases that apply no row write no coefficient:
-commuting past the block, extending it, braiding a crossing through it, a
-cupless crossing that lengthens the permutation, and a cap on a cupless
-diagram, which lands literally or is solved upside down.
+letters and a right-hand side of (field, replacement) pairs.  Nine rows are
+written out; each whose window is not its own upside-down image also yields
+that image as a `ud-` row, its fields exchanged with their primed partners.
+Both find a row by its window in `_BY_WINDOW`, and both commute two letters
+on different strands by `_swap_step`; a swap is odd when neither letter is
+a crossing.
+
+A crossing or a cap pushed on a diagram with cups meets its topmost block
+as `_meet_block` walks it: the letter commutes down the block's letters,
+top first, by `_swap_step`.  If it passes them all, it is pushed on the
+diagram below the block and the moved block is stacked back, with a factor
+epsilon per odd swap.  Otherwise the letters it stopped on, span 2, then 3,
+and the letter itself are looked up in `_BY_WINDOW`.  A row is applied by
+`_apply`, always window -> right-hand side: with the window's first letter
+at x, pre the block's letters under the window, post those the letter
+passed, and below the diagram under the block, the row gives the sum over
+its right-hand side of the field's coefficient times the word pre +
+replacement + post pushed on below.  That word's leading cup block (a cup
+at a', then crossings at a' + 1, a' + 2, ...) is stacked whole by
+`_stack_block`; its other letters are pushed one at a time.  The engine
+applies every row but `braid` and `braid-rev`.  A `braid` window means both
+strands of the crossing pass under the block's arc: it braids through the
+block and is pushed one place left below it.  No window means the crossing
+starts at the arc's right end, and it extends the block.  On a cupless
+diagram a crossing that doubles the top letter of the permutation applies
+`twisting`, the one row named literally; one that lengthens the permutation
+lands literally, and a cap lands literally or is solved upside down.  The
+cases that apply no row write no coefficient.
 
 `check_local_confluence` exhaustively verifies that applying any single
 relation anywhere in a small word, then normalizing, agrees with normalizing
@@ -90,9 +99,11 @@ compared by identity first and by value second.
     brauercalc.rewrite.ParamsMismatch: normal forms built with different parameters
 
 `_ENGINES` maps each parameter record to what the engine remembers of it:
-its consistency verdict and its memo.  Clearing it resets both.  The memo
-has one namespace of keys (kind, position, diagram): a letter of kind
-`cross`, `cap` or `cup` pushed on a diagram.  A cup block that tangles with
+its consistency verdict and its memo.  Clearing it resets both.  The walk's
+memo (`_meet_block`) holds no record state, so clearing `_ENGINES` still
+resets everything a record owns.  A record's memo has one namespace of keys
+(kind, position, diagram): a letter of kind `cross`, `cap` or `cup` pushed
+on a diagram.  A cup block that tangles with
 the diagram's cups is pushed a letter at a time, so it spends fuel through
 its letters' misses.  A letter landing literally on the standard word is
 built from the matching (`diagram.stack_*`), never by `compose_oracle`.  A
@@ -116,6 +127,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .coeff import LaurentPoly, lp_exact_div, lp_int, lp_str
 from .diagram import (
@@ -137,6 +149,7 @@ from .term import CAP, CROSS, CUP, WIDTH_CHANGE, GenWord, Letter
 
 
 DEFAULT_FUEL = 10 ** 6
+_MINUS_ONE = lp_int(-1)  # the sign of an odd swap under epsilon = -1
 
 
 class RewriteError(Exception):
@@ -317,6 +330,77 @@ def _block_letters(s: int, a: int) -> list:
     return [(CUP, a)] + [(CROSS, a + j) for j in range(1, s + 1)]
 
 
+def _swap_step(g, u):
+    """Commute the upper letter u below the lower letter g.
+
+    Returns the new (lower, upper) pair, or None if the letters touch the
+    same strands.  Letters are (kind, pos) pairs; g acts first.  On the level
+    between them strand j sits at 2j and the slot left of it at 2j - 1: g's
+    output covers its strands 2x .. 2x + 2, or the slot 2x - 1 a cap leaves,
+    and u's input covers 2r .. 2r + 2, or the slot 2r - 1 a cup fills.  Only
+    the letter on the right moves: g by u's width change, or u back by g's.
+    """
+    (gk, x), (uk, r) = g, u
+    g_lo, g_hi = (2 * x - 1, 2 * x - 1) if gk == CAP else (2 * x, 2 * x + 2)
+    u_lo, u_hi = (2 * r - 1, 2 * r - 1) if uk == CUP else (2 * r, 2 * r + 2)
+    if u_hi < g_lo:
+        return (uk, r), (gk, x + WIDTH_CHANGE[uk])
+    # a cup filling the slot a cap leaves lies right of it
+    if u_lo > g_hi or (gk, uk, r) == (CAP, CUP, x):
+        return (uk, r - WIDTH_CHANGE[gk]), (gk, x)
+    return None
+
+
+def _odd_swap(g, u) -> bool:
+    """Whether commuting the letters g and u is odd: neither is a crossing,
+    so each is a cup or a cap, and the swap picks up epsilon."""
+    return CROSS not in (g[0], u[0])
+
+
+def _row_at(letters):
+    """The `_BY_WINDOW` row whose window the letters are, its offsets counted
+    from the first letter's position, or None."""
+    x = letters[0][1]
+    # a list, not a generator: tuple() shrinks a generator's result from a
+    # guessed size, which fills the free lists of small tuples (2,000 each)
+    # and raised the sweep's peak RSS by about 0.2 MB
+    return _BY_WINDOW.get(tuple([(k, pos - x) for k, pos in letters]))
+
+
+@lru_cache(maxsize=None)
+def _meet_block(letter, s: int, a: int):
+    """How a crossing or a cap pushed on an elementary cup block (a cup at
+    a, then crossings at a + 1, ..., a + s) meets it: the letter commutes
+    down the block's letters, top first, by `_swap_step`.
+
+    Returns (label, x, pre, post, odd).  If the letter passes every letter,
+    the label is "swap": the letter sits at x under post, the block's
+    letters as they moved, and odd counts the odd swaps.  Otherwise the
+    letters it stopped on, span 2 then 3, and the letter itself are the
+    window of the `_BY_WINDOW` row label, at x; pre are the block's letters
+    under the window and post those the letter passed.  The label None
+    means no window: the crossing extends the block.  Only the cup, the
+    lowest letter, swaps oddly, so a letter that stops has odd = 0.  The
+    walk reads no record, so one memo serves every record.
+    """
+    block = _block_letters(s, a)
+    passed, odd = (), 0
+    for i in reversed(range(len(block))):
+        swap = _swap_step(block[i], letter)
+        if swap is None:
+            break
+        odd += _odd_swap(block[i], letter)
+        letter, moved = swap
+        passed = (moved,) + passed
+    else:
+        return "swap", letter[1], (), passed, odd
+    for lo in (i, i - 1):  # span 2, then 3
+        row = _row_at(block[lo : i + 1] + [letter]) if lo >= 0 else None
+        if row is not None:
+            return row[0], block[lo][1], tuple(block[:lo]), passed, odd
+    return None, None, (), passed, odd
+
+
 # ---------------------------------------------------------------------------
 # The engine
 
@@ -366,21 +450,6 @@ class _Engine:
                 "step budget of %d exhausted pushing %s at %d on %s; engine defect"
                 % (self.budget, kind, pos, d)
             )
-
-    def _push_cases(self, kind: str, pos: int, d: BrauerDiagram) -> dict:
-        if kind == CUP:
-            if not 1 <= pos <= d.n + 1:
-                raise WidthMismatch("cup at %d on width %d" % (pos, d.n))
-            return self._stack_block(d, 0, pos)
-        if kind == CROSS:
-            if not 1 <= pos <= d.n - 1:
-                raise WidthMismatch("crossing at %d on width %d" % (pos, d.n))
-            return self._push_cross(pos, d)
-        if kind == CAP:
-            if not 1 <= pos <= d.n - 1:
-                raise WidthMismatch("cap at %d on width %d" % (pos, d.n))
-            return self._push_cap(pos, d)
-        raise RewriteError("unknown letter kind %r" % kind)
 
     def push_nf(self, kind: str, pos: int, terms: dict) -> dict:
         out = {}
@@ -462,88 +531,58 @@ class _Engine:
             _acc(out, self.push_letters(letters[k:], terms), _coeff(self.p, field))
         return out
 
-    # -- crossing -----------------------------------------------------------
+    # -- a letter on a diagram ----------------------------------------------
 
-    def _push_cross(self, r: int, d: BrauerDiagram) -> dict:
+    def _push_cases(self, kind: str, pos: int, d: BrauerDiagram) -> dict:
+        if kind == CUP:
+            if not 1 <= pos <= d.n + 1:
+                raise WidthMismatch("cup at %d on width %d" % (pos, d.n))
+            return self._stack_block(d, 0, pos)
+        if kind not in (CROSS, CAP):
+            raise RewriteError("unknown letter kind %r" % kind)
+        if not 1 <= pos <= d.n - 1:
+            name = "crossing" if kind == CROSS else "cap"
+            raise WidthMismatch("%s at %d on width %d" % (name, pos, d.n))
         cups = d.cup_pairs()
-        if not cups:
-            base = stack_cross(d, r)
-            # the crossing lengthens the permutation iff the strands it
-            # swaps come from bottom dots in order
-            if d.match[d.m + r - 1] < d.match[d.m + r]:
-                return {base: lp_int(1)}
-            # else d is base with a crossing at r on top, which it doubles
-            return self._apply("twisting", r, base)
+        if cups:
+            return self._push_on_block(kind, pos, d, *max(cups))
+        if kind == CAP:
+            return self._push_cupless_cap(pos, d)
+        base = stack_cross(d, pos)
+        # a crossing on a cupless diagram lengthens its permutation iff the
+        # strands it swaps come from bottom dots in order
+        if d.match[d.m + pos - 1] < d.match[d.m + pos]:
+            return {base: lp_int(1)}
+        # else d is base with a crossing at pos on top, which it doubles
+        return self._apply("twisting", pos, base)
 
-        left, right = max(cups)  # the topmost cup block
-        s1, a1 = right - left - 1, left
+    def _push_on_block(self, kind: str, r: int, d: BrauerDiagram, left, right) -> dict:
+        """A crossing or a cap on d, whose topmost cup block joins left and
+        right, resolved as `_meet_block` finds the letter meets the block."""
+        s, a = right - left - 1, left
         rest = remove_top_pair(d, left, right)
+        label, x, pre, post, odd = _meet_block((kind, r), s, a)
+        if label == "swap":  # pushed below the block, which moved to post
+            out = self._stack_block_nf(self.push(kind, x, rest), s, post[0][1])
+            return out if self.sign(odd) == 1 else _negated(out)
+        if label == "braid":  # both strands pass under the arc: braid through
+            return self._stack_block_nf(self.push(CROSS, x - 1, rest), s, a)
+        if label is None:  # no window: the crossing extends the block
+            return self._stack_block(rest, s + 1, a)
+        return self._apply(label, x, rest, pre, post)
 
-        if r + 1 < left:
-            return self._stack_block_nf(self.push(CROSS, r, rest), s1, a1)
-        if r > right:
-            return self._stack_block_nf(self.push(CROSS, r - 2, rest), s1, a1)
-        if r == right:
-            return self._stack_block(rest, s1 + 1, a1)
-        # otherwise the crossing commutes down the cascade to a window
-        block = _block_letters(s1, a1)
-        if r == a1 - 1:
-            return self._apply("sliding", a1, rest, post=block[1:])
-        if r == a1 and s1 == 0:
-            return self._apply("untwisting", a1, rest)
-        if r == a1:
-            return self._apply("pulling", a1, rest, post=block[2:])
-        if r == a1 + s1:
-            return self._apply("twisting", r, rest, pre=block[:-1])
-        # a1 < r < a1 + s1: both strands pass under the arc; braid through
-        return self._stack_block_nf(self.push(CROSS, r - 1, rest), s1, a1)
-
-    # -- cap ----------------------------------------------------------------
-
-    def _push_cap(self, r: int, d: BrauerDiagram) -> dict:
-        cups = d.cup_pairs()
-        if not cups:
-            # a cap landing literally on the standard word of d has
-            # coefficient 1 by definition; any other is solved upside down,
-            # where the flipped d (crossings and cups only) is stacked on a
-            # single cup under the flipped record, on this call's budget
-            if cap_lands_literally(d, r):
-                return {stack_cap(d, r): lp_int(1)}
-            if self.flip is None:
-                self.flip = _Engine(vflip_params(self.p), self.root)
-            cup = {elem_cup_block(d.n - 2, 0, r): lp_int(1)}
-            terms = self.flip.push_letters(standard_letters(vflip_diagram(d)), cup)
-            return {vflip_diagram(k): v for k, v in terms.items()}
-
-        left, right = max(cups)  # the topmost cup block
-        s1, a1 = right - left - 1, left
-        rest = remove_top_pair(d, left, right)
-
-        if r + 1 < left:
-            out = self._stack_block_nf(self.push(CAP, r, rest), s1, a1 - 2)
-            return out if self.eps == 1 else _negated(out)
-        if r > right:
-            out = self._stack_block_nf(self.push(CAP, r - 2, rest), s1, a1)
-            return out if self.eps == 1 else _negated(out)
-        # otherwise the cap commutes down the cascade to a window, moving
-        # the crossings it passes 2 left
-        block = _block_letters(s1, a1)
-        down = [(CROSS, pos - 2) for _, pos in block[1:]]
-        if r == a1 - 1:
-            return self._apply("straightening", a1, rest, post=down)
-        if r == a1 and s1 == 0:
-            return self._apply("looping", a1, rest)
-        if r == a1:
-            return self._apply("delooping", a1, rest, post=down[1:])
-        if r == right and s1 == 0:
-            return self._apply("ud-straightening", a1, rest)
-        if r == right:
-            return self._apply("ud-sliding", a1 + s1, rest, pre=block[:-1])
-        if r == a1 + s1:
-            return self._apply("ud-untwisting", r, rest, pre=block[:-1])
-        # a1 < r < a1 + s1: the cap lands on the cascade
-        off = r - a1
-        return self._apply("ud-pulling", r, rest, pre=block[:off], post=down[off + 1 :])
+    def _push_cupless_cap(self, r: int, d: BrauerDiagram) -> dict:
+        """A cap landing literally on the standard word of d has coefficient
+        1 by definition; any other is solved upside down, where the flipped d
+        (crossings and cups only) is stacked on a single cup under the
+        flipped record, on this call's budget."""
+        if cap_lands_literally(d, r):
+            return {stack_cap(d, r): lp_int(1)}
+        if self.flip is None:
+            self.flip = _Engine(vflip_params(self.p), self.root)
+        cup = {elem_cup_block(d.n - 2, 0, r): lp_int(1)}
+        terms = self.flip.push_letters(standard_letters(vflip_diagram(d)), cup)
+        return {vflip_diagram(k): v for k, v in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -670,27 +709,6 @@ def under_cross(p: CategoryParams, check: bool = True) -> NormalForm:
 # Local confluence sweep
 
 
-def _swap_step(g, u):
-    """Commute the upper letter u below the lower letter g.
-
-    Returns the new (lower, upper) pair, or None if the letters touch the
-    same strands.  Letters are (kind, pos) pairs; g acts first.  On the level
-    between them strand j sits at 2j and the slot left of it at 2j - 1: g's
-    output covers its strands 2x .. 2x + 2, or the slot 2x - 1 a cap leaves,
-    and u's input covers 2r .. 2r + 2, or the slot 2r - 1 a cup fills.  Only
-    the letter on the right moves: g by u's width change, or u back by g's.
-    """
-    (gk, x), (uk, r) = g, u
-    g_lo, g_hi = (2 * x - 1, 2 * x - 1) if gk == CAP else (2 * x, 2 * x + 2)
-    u_lo, u_hi = (2 * r - 1, 2 * r - 1) if uk == CUP else (2 * r, 2 * r + 2)
-    if u_hi < g_lo:
-        return (uk, r), (gk, x + WIDTH_CHANGE[uk])
-    # a cup filling the slot a cap leaves lies right of it
-    if u_lo > g_hi or (gk, uk, r) == (CAP, CUP, x):
-        return (uk, r - WIDTH_CHANGE[gk]), (gk, x)
-    return None
-
-
 def _relation_steps(p: CategoryParams, letters):
     """All single relation applications inside a letter tuple.
 
@@ -700,11 +718,7 @@ def _relation_steps(p: CategoryParams, letters):
     for span in (2, 3):
         for h in range(len(letters) - span + 1):
             x = letters[h][1]
-            # a list, not a generator: tuple() shrinks a generator's result
-            # from a guessed size, which fills the free lists of small tuples
-            # (2,000 each) and raised the sweep's peak RSS by about 0.2 MB
-            window = tuple([(k, pos - x) for k, pos in letters[h : h + span]])
-            row = _BY_WINDOW.get(window)
+            row = _row_at(letters[h : h + span])
             if row is not None:
                 label, _, rhs = row
                 yield label, h, span, [
@@ -714,8 +728,8 @@ def _relation_steps(p: CategoryParams, letters):
             if span == 2:
                 swap = _swap_step(letters[h], letters[h + 1])
                 if swap is not None:
-                    odd = p.epsilon == -1 and CROSS not in (window[0][0], window[1][0])
-                    yield "swap", h, 2, [(lp_int(-1 if odd else 1), list(swap))]
+                    odd = p.epsilon == -1 and _odd_swap(letters[h], letters[h + 1])
+                    yield "swap", h, 2, [(_MINUS_ONE if odd else lp_int(1), list(swap))]
 
 
 def check_local_confluence(

@@ -348,6 +348,22 @@ def test_verify_rejects_a_record_it_would_ignore(capsys, tmp_path):
         assert err == "parse error: verify %s takes no %s\n" % (argv[1], flag)
 
 
+def test_an_empty_preset_or_params_is_refused(capsys):
+    # an empty -p or --params was once tested for truth and ignored: the
+    # record fell back to brauer, or the refusals never fired
+    for argv in (
+        ["normalize", "--params", "", "s(1)@2"],
+        ["normalize", "-p", "", "s(1)@2"],
+        ["normalize", "-p", "bwm", "--params", "", "s(1)@2"],
+        ["verify", "table1", "-p", ""],
+        ["verify", "wenzl", "--params", ""],
+    ):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("parse error: ") and err.count("\n") == 1, err
+
+
 def test_classify(capsys):
     code, out = run(capsys, "classify", "-p", "periplectic_q")
     assert code == 0

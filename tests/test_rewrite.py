@@ -435,6 +435,53 @@ def test_caps_pushed_on_cupless_diagrams_are_pinned():
 # every Laurent field its own variable, so that no two fields agree
 GENERIC = dataclasses.replace(BWM, **{f: lp_parse(f) for f in LAURENT_FIELDS})
 
+def test_letters_pushed_on_diagrams_with_cups_are_pinned():
+    # every crossing and cap at every position on every diagram with cups
+    # and m+n <= 8 (46,016 pushes), under each preset, a record that breaks
+    # confluence and the generic record at both signs; digest taken while
+    # the engine still restated each window as a position test
+    records = [preset(name) for name in PRESETS]
+    records.append(dataclasses.replace(BWM, a=BWM.a + lp_int(1)))
+    records += [GENERIC, dataclasses.replace(GENERIC, epsilon=-1)]
+    lines = []
+    for p in records:
+        eng = rewrite._Engine(p)
+        tag = hashlib.sha1(json.dumps(p.to_json(), sort_keys=True).encode()).hexdigest()
+        for total in range(2, 9, 2):
+            for m in range(total + 1):
+                for d in enumerate_diagrams(m, total - m):
+                    if not d.cup_pairs():
+                        continue
+                    for kind in (CROSS, CAP):
+                        for r in range(1, d.n):
+                            terms = eng.push(kind, r, d)
+                            n = d.n + WIDTH_CHANGE[kind]
+                            nf = NormalForm(d.m, n, dict(terms), p)
+                            lines.append(json.dumps([tag, d.pairs(), kind, r, nf.to_json()]))
+    assert len(lines) == 46016
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+    assert digest == (
+        "3c1168a54dca0a4e3c5ac56aa0151102ed01cdcdf51744e43600c985860d0e9e"
+    )
+
+
+def test_the_engine_commutes_by_the_sweeps_swap(monkeypatch):
+    # a crossing right of a lone cup passes it by `_swap_step`, the swap
+    # the sweep checks, not by a position test of the engine's own
+    asked = []
+    swap_step = rewrite._swap_step
+
+    def recorded(g, u):
+        asked.append((g, u))
+        return swap_step(g, u)
+
+    monkeypatch.setattr(rewrite, "_swap_step", recorded)
+    monkeypatch.setattr(rewrite, "_ENGINES", {})
+    rewrite._meet_block.cache_clear()
+    normalize(word(2, [cup(1), cross(3)]), BWM)
+    assert ((CUP, 1), (CROSS, 3)) in asked
+
+
 # for each relation row the engine applies, a word whose last letter fires it
 _FIRING = {
     "twisting": word(2, [cross(1), cross(1)]),
